@@ -62,7 +62,6 @@ def _solve_config(args: argparse.Namespace) -> SolveConfig:
         time_limit=args.time_limit,
         node_limit=args.node_limit,
         anchor_vertex=args.anchor,
-        threads=args.threads,
     )
 
 
@@ -148,7 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-limit", type=float, default=3600.0, help="wall clock limit in seconds")
     p.add_argument("--node-limit", type=int, default=None, help="stop after this many search nodes")
     p.add_argument("--anchor", type=int, default=None, help="anchor vertex override")
-    p.add_argument("--threads", type=int, default=1, help="search threads")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("lp", help="export the MILP model in LP text format")

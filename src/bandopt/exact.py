@@ -9,7 +9,6 @@ integer linear program in LP text format for external solvers.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,8 +36,8 @@ class SolveConfig:
     ``use_lower_bound`` enables seeding the bound and terminating as soon as
     the incumbent matches it; ``use_symmetry_breaking`` confines the anchor
     vertex to the first half of the positions.  ``anchor_vertex`` of None
-    picks the vertex with the largest interaction row sum.  ``threads`` of 1
-    (the default) gives reproducible node counts.
+    picks the vertex with the largest interaction row sum.  Node counts are
+    reproducible for every configuration.
     """
 
     use_lower_bound: bool = True
@@ -46,7 +45,6 @@ class SolveConfig:
     time_limit: float = 3600.0
     node_limit: int | None = None
     anchor_vertex: int | None = None
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -66,8 +64,6 @@ def _validate_config(n: int, cfg: SolveConfig) -> None:
         raise ValueError(f"time_limit must be positive, got {cfg.time_limit}")
     if cfg.node_limit is not None and cfg.node_limit < 1:
         raise ValueError(f"node_limit must be at least 1, got {cfg.node_limit}")
-    if cfg.threads < 1:
-        raise ValueError(f"threads must be at least 1, got {cfg.threads}")
     if cfg.anchor_vertex is not None and not 0 <= cfg.anchor_vertex < n:
         raise ValueError(f"anchor_vertex {cfg.anchor_vertex} outside 0..{n - 1}")
 
@@ -133,49 +129,54 @@ def brute_force(U: InteractionMatrix) -> SolveResult:
 
 
 class _Stop(Exception):
-    """Internal signal: abandon the current worker's search."""
+    """Internal signal: abandon the search."""
 
 
-def _greedy_probe(u: list[list[float]], n: int) -> tuple[tuple[int, ...], float]:
+def _branch_order(u: list[list[float]], pos: list[int], placed: list[int]) -> list[int]:
+    """The branching rule: unplaced vertices, strongest link to the placed set first.
+
+    A vertex's link is its largest interaction with any placed vertex (0.0
+    when nothing is placed yet); ties go to the lower index.
+    """
+    scored = []
+    for v, p in enumerate(pos):
+        if p:
+            continue
+        row = u[v]
+        strongest = 0.0
+        for w in placed:
+            x = row[w]
+            if x > strongest:
+                strongest = x
+        scored.append((-strongest, v))
+    scored.sort()
+    return [v for _, v in scored]
+
+
+def _greedy_probe(u: list[list[float]]) -> Ordering:
     """Construct one ordering by the search's own branching rule.
 
-    Starts from vertex 0 and repeatedly appends the unplaced vertex with
-    the strongest interaction to the placed set (ties by index).  Seeding
-    the incumbent with this dive makes the first feasible solution
-    independent of the pruning configuration.
+    Starts from vertex 0 and repeatedly appends the first vertex of
+    ``_branch_order``.  Seeding the incumbent with this dive makes the
+    first feasible solution independent of the pruning configuration.
     """
-    pos = [0] * n
+    pos = [0] * len(u)
     pos[0] = 1
     placed = [0]
-    objective = 0.0
-    for p in range(2, n + 1):
-        best_v = -1
-        best_s = -1.0
-        for v in range(n):
-            if pos[v]:
-                continue
-            row = u[v]
-            s = 0.0
-            for w in placed:
-                x = row[w]
-                if x > s:
-                    s = x
-            if s > best_s:
-                best_s = s
-                best_v = v
-        v = best_v
-        row = u[v]
-        for w in placed:
-            term = row[w] * (p - pos[w])
-            if term > objective:
-                objective = term
+    for p in range(2, len(u) + 1):
+        v = _branch_order(u, pos, placed)[0]
         pos[v] = p
         placed.append(v)
-    return tuple(pos), objective
+    return Ordering(tuple(pos))
 
 
 class _Search:
-    """State shared by all workers of one branch-and-bound run."""
+    """Depth-first branch and bound over position assignments.
+
+    Positions are filled left to right, candidates in ``_branch_order``.
+    A node is one evaluated position assignment.  The incumbent changes
+    only on strict improvement.
+    """
 
     def __init__(
         self,
@@ -196,117 +197,50 @@ class _Search:
         self.half = (self.n + 1) // 2
         self.deadline = deadline
         self.node_limit = cfg.node_limit
-        self.lock = threading.Lock()
-        self.done = threading.Event()
         self.timed_out = False
-        self.approx_nodes = 0
-        # incumbent cell: updates only on strict improvement, under the lock
         self.incumbent_obj = seed_objective
         self.incumbent_perm = seed.perm
-
-
-class _Worker:
-    """Depth-first search over a set of root subtrees.
-
-    Positions are filled left to right; candidates are tried strongest
-    interaction with the placed set first, ties by index.  A node is one
-    evaluated position assignment.
-    """
-
-    def __init__(self, search: _Search, serial: bool):
-        self.s = search
-        self.serial = serial
         self.nodes = 0
-        self._reported = 0
-        self.pos = [0] * search.n
+        self.pos = [0] * self.n
         self.placed: list[int] = []
 
-    def run(self, roots: list[int]) -> None:
-        s = self.s
+    def run(self) -> None:
+        if time.perf_counter() >= self.deadline:
+            self.timed_out = True
+            return
         try:
-            if time.monotonic() >= s.deadline:
-                s.timed_out = True
-                s.done.set()
-                return
-            for v in roots:
-                if s.done.is_set():
-                    raise _Stop
-                self._count_node()
-                if 0.0 >= s.incumbent_obj:
-                    continue
-                self.pos[v] = 1
-                self.placed.append(v)
-                self._extend(1, 0.0)
-                self.placed.pop()
-                self.pos[v] = 0
+            self._extend(0, 0.0)
         except _Stop:
             pass
 
     def _count_node(self) -> None:
         self.nodes += 1
-        s = self.s
-        if self.serial and s.node_limit is not None and self.nodes >= s.node_limit:
-            s.timed_out = True
-            s.done.set()
+        if self.node_limit is not None and self.nodes >= self.node_limit:
+            self.timed_out = True
             raise _Stop
-        if self.nodes & _CHECK_MASK == 0:
-            self._periodic()
-
-    def _periodic(self) -> None:
-        s = self.s
-        if s.done.is_set():
+        if self.nodes & _CHECK_MASK == 0 and time.perf_counter() >= self.deadline:
+            self.timed_out = True
             raise _Stop
-        if time.monotonic() >= s.deadline:
-            s.timed_out = True
-            s.done.set()
-            raise _Stop
-        if not self.serial and s.node_limit is not None:
-            with s.lock:
-                s.approx_nodes += self.nodes - self._reported
-                self._reported = self.nodes
-                if s.approx_nodes >= s.node_limit:
-                    s.timed_out = True
-                    s.done.set()
-            if s.done.is_set():
-                raise _Stop
 
     def _offer(self, objective: float, v: int, p: int) -> None:
-        s = self.s
-        with s.lock:
-            if objective < s.incumbent_obj:
-                perm = list(self.pos)
-                perm[v] = p
-                s.incumbent_obj = objective
-                s.incumbent_perm = tuple(perm)
-                if s.use_lb and objective == s.lb:
-                    s.done.set()
-        if s.done.is_set():
+        perm = list(self.pos)
+        perm[v] = p
+        self.incumbent_obj = objective
+        self.incumbent_perm = tuple(perm)
+        if self.use_lb and objective == self.lb:
             raise _Stop
 
     def _extend(self, depth: int, partial: float) -> None:
-        s = self.s
-        n = s.n
-        u = s.u
+        n = self.n
+        u = self.u
         pos = self.pos
         placed = self.placed
         p = depth + 1
 
-        if s.sym and pos[s.anchor] == 0 and p == s.half:
-            candidates = [s.anchor]
+        if self.sym and pos[self.anchor] == 0 and p == self.half:
+            candidates = [self.anchor]
         else:
-            candidates = [v for v in range(n) if pos[v] == 0]
-            if len(candidates) > 1:
-                scored = []
-                for v in candidates:
-                    row = u[v]
-                    strongest = 0.0
-                    for w in placed:
-                        x = row[w]
-                        if x > strongest:
-                            strongest = x
-                    scored.append((-strongest, v))
-                scored.sort()
-                candidates = [v for _, v in scored]
+            candidates = _branch_order(u, pos, placed)
 
         last = p == n
         for v in candidates:
@@ -317,7 +251,7 @@ class _Worker:
                 term = row[w] * (p - pos[w])
                 if term > new:
                     new = term
-            if new >= s.incumbent_obj:
+            if new >= self.incumbent_obj:
                 continue
             if last:
                 self._offer(new, v, p)
@@ -364,14 +298,14 @@ def branch_and_bound(
     seed = warm_start if warm_start is not None else Ordering.identity(n)
     if seed.n != n:
         raise ValueError(f"warm start covers {seed.n} vertices, matrix has {n}")
-    half = (n + 1) // 2
     u_rows: list[list[float]] = [[float(x) for x in row] for row in U.u]
     seed_objective = weighted_bandwidth(U, seed).value
-    probe_perm, probe_objective = _greedy_probe(u_rows, n)
+    probe = _greedy_probe(u_rows)
+    probe_objective = weighted_bandwidth(U, probe).value
     if probe_objective < seed_objective:
-        seed = Ordering(probe_perm)
+        seed = probe
         seed_objective = probe_objective
-    if seed.perm[anchor] > half:
+    if seed.perm[anchor] > (n + 1) // 2:
         seed = seed.reversed()
 
     if cfg.use_lower_bound and seed_objective == lower_bound:
@@ -387,26 +321,7 @@ def branch_and_bound(
     search = _Search(
         u_rows, cfg, anchor, lower_bound, seed, seed_objective, t0 + cfg.time_limit
     )
-    if cfg.use_symmetry_breaking and half == 1:
-        roots = [anchor]
-    else:
-        roots = list(range(n))
-
-    if cfg.threads <= 1 or len(roots) == 1:
-        worker = _Worker(search, serial=cfg.threads <= 1)
-        worker.run(roots)
-        workers = [worker]
-    else:
-        k = min(cfg.threads, len(roots))
-        workers = [_Worker(search, serial=False) for _ in range(k)]
-        threads = [
-            threading.Thread(target=w.run, args=(roots[i::k],), daemon=True)
-            for i, w in enumerate(workers)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+    search.run()
 
     objective = search.incumbent_obj
     bound_certified = cfg.use_lower_bound and objective == lower_bound
@@ -416,7 +331,7 @@ def branch_and_bound(
         objective=objective,
         lower_bound=lower_bound,
         status=status,
-        nodes_explored=sum(w.nodes for w in workers),
+        nodes_explored=search.nodes,
         wall_time=time.perf_counter() - t0,
     )
 

@@ -115,7 +115,14 @@ class InteractionMatrix:
     @staticmethod
     def from_array(u: np.ndarray) -> "InteractionMatrix":
         """Wrap and validate a raw weight matrix not derived from geometry."""
-        u = np.asarray(u, dtype=float)
+        return InteractionMatrix._validated(np.array(u, dtype=float))
+
+    @staticmethod
+    def _validated(u: np.ndarray) -> "InteractionMatrix":
+        """Check every invariant, then freeze ``u`` in place.
+
+        The caller hands over ``u`` and must keep no writable reference.
+        """
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError(f"weight matrix must be square, got shape {u.shape}")
         n = u.shape[0]
@@ -129,7 +136,6 @@ class InteractionMatrix:
             off = u[~np.eye(n, dtype=bool)]
             if np.any(off <= 0.0):
                 raise ValueError("off-diagonal weights must be strictly positive")
-        u = u.copy()
         u.setflags(write=False)
         return InteractionMatrix(n=n, u=u)
 
@@ -277,9 +283,9 @@ def interaction_matrix(inst: Instance) -> InteractionMatrix:
         i, j = (int(v) for v in zero[0])
         raise CoincidentSitesError(min(i, j), max(i, j))
     u = np.zeros((n, n))
-    u[off] = 1.0 / d2[off] ** 3
-    u.setflags(write=False)
-    return InteractionMatrix(n=n, u=u)
+    with np.errstate(divide="ignore", over="ignore"):
+        u[off] = 1.0 / d2[off] ** 3  # inf or 0 here fails _validated's checks
+    return InteractionMatrix._validated(u)
 
 
 def to_json(inst: Instance) -> str:

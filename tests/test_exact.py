@@ -2,9 +2,11 @@
 
 import itertools
 import re
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bandopt.exact import (
     STATUS_OPTIMAL,
@@ -21,6 +23,7 @@ from bandopt.exact import (
 )
 from bandopt.instance import InteractionMatrix, generate, interaction_matrix
 from bandopt.metrics import Ordering, weighted_bandwidth
+from bandopt.rcm import rcm_on_instance
 
 
 def _matrix_from_points(pts):
@@ -173,13 +176,12 @@ class TestBranchAndBound:
         assert res.status == STATUS_TIMEOUT
         assert res.nodes_explored == 500
 
-    def test_threads_match_serial_objective(self):
-        for n, seed in [(8, 8000072), (9, 9000080)]:
-            U = interaction_matrix(generate(n, seed))
-            serial = branch_and_bound(U)
-            parallel = branch_and_bound(U, SolveConfig(threads=4))
-            assert parallel.status == STATUS_OPTIMAL
-            assert parallel.objective == serial.objective
+    def test_deadline_ignores_monotonic_clock(self, monkeypatch):
+        # the deadline is built and checked on one clock, perf_counter
+        monkeypatch.setattr(time, "monotonic", lambda: 1e18)
+        res = branch_and_bound(interaction_matrix(generate(9, 9000080)))
+        assert res.status == STATUS_OPTIMAL
+        assert res.nodes_explored == 37092
 
     def test_config_validation(self):
         U = interaction_matrix(generate(5, 1))
@@ -188,13 +190,72 @@ class TestBranchAndBound:
         with pytest.raises(ValueError):
             branch_and_bound(U, SolveConfig(node_limit=0))
         with pytest.raises(ValueError):
-            branch_and_bound(U, SolveConfig(threads=0))
-        with pytest.raises(ValueError):
             branch_and_bound(U, SolveConfig(anchor_vertex=5))
 
     def test_default_anchor_is_max_row_sum(self):
         U = interaction_matrix(generate(9, 6))
         assert default_anchor(U) == int(np.argmax(U.u.sum(axis=1)))
+
+    # Node counts fix the branching order; recorded before the search was
+    # reduced to one single-threaded path.
+    @pytest.mark.parametrize(
+        "seed,objective,nodes",
+        [(8000072, 4.0449916293573605, 5614), (8000074, 1.744819785851831, 6051)],
+    )
+    def test_pinned_nodes_rcm_warm_start(self, seed, objective, nodes):
+        inst = generate(8, seed)
+        res = branch_and_bound(interaction_matrix(inst), warm_start=rcm_on_instance(inst))
+        assert (res.status, res.objective, res.nodes_explored) == (
+            STATUS_OPTIMAL,
+            objective,
+            nodes,
+        )
+
+    @pytest.mark.parametrize(
+        "lb,sym,node_limit,status,objective,nodes",
+        [
+            (True, True, None, STATUS_OPTIMAL, 2.5367056031523045, 113099),
+            (True, False, None, STATUS_OPTIMAL, 2.5367056031523045, 43232),
+            (False, True, None, STATUS_OPTIMAL, 2.5367056031523045, 121818),
+            (False, False, None, STATUS_OPTIMAL, 2.5367056031523045, 210795),
+            (True, True, 5000, STATUS_TIMEOUT, 3.2948209079435244, 5000),
+        ],
+    )
+    def test_pinned_nodes_n10(self, lb, sym, node_limit, status, objective, nodes):
+        U = interaction_matrix(generate(10, 10000001))
+        cfg = SolveConfig(
+            use_lower_bound=lb, use_symmetry_breaking=sym, node_limit=node_limit
+        )
+        res = branch_and_bound(U, cfg)
+        assert (res.status, res.objective, res.nodes_explored) == (status, objective, nodes)
+
+
+@st.composite
+def _tied_weights(draw):
+    """Non-geometric weights 1..3, so equal weights and ties are common."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    u = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            u[i, j] = u[j, i] = draw(st.integers(min_value=1, max_value=3))
+    return InteractionMatrix.from_array(u)
+
+
+class TestDifferentialOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(_tied_weights())
+    def test_all_toggles_and_node_limits(self, U):
+        optimum = brute_force(U).objective
+        for lb, sym in itertools.product((True, False), repeat=2):
+            for node_limit in (None, 1, 7, 50):
+                cfg = SolveConfig(
+                    use_lower_bound=lb, use_symmetry_breaking=sym, node_limit=node_limit
+                )
+                res = branch_and_bound(U, cfg)
+                assert weighted_bandwidth(U, res.ordering).value == res.objective
+                assert res.objective >= optimum
+                if res.status == STATUS_OPTIMAL:
+                    assert res.objective == optimum
 
 
 class TestExportLp:

@@ -122,6 +122,12 @@ class TestInteractionMatrix:
         with pytest.raises(ValueError):
             U.u[0, 1] = 9.9
 
+    @pytest.mark.parametrize("gap", [1e-60, 1e60])
+    def test_out_of_range_weights_rejected(self, gap):
+        # 1/d^6 is inf at d = 1e-60 and 0 at d = 1e60
+        with pytest.raises(ValueError):
+            interaction_matrix(_toy([(0.0, 0.0), (gap, 0.0)]))
+
     def test_from_array_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             InteractionMatrix.from_array(np.array([[0.0, 1.0], [2.0, 0.0]]))
