@@ -175,7 +175,9 @@ class _Search:
 
     Positions are filled left to right, candidates in ``_branch_order``.
     A node is one evaluated position assignment.  The incumbent changes
-    only on strict improvement.
+    only on strict improvement.  With the lower bound on, the search ends
+    as soon as the incumbent equals it, before the first node if the seed
+    already does; only a time or node limit sets ``timed_out``.
     """
 
     def __init__(
@@ -205,6 +207,8 @@ class _Search:
         self.placed: list[int] = []
 
     def run(self) -> None:
+        if self.use_lb and self.incumbent_obj == self.lb:
+            return
         if time.perf_counter() >= self.deadline:
             self.timed_out = True
             return
@@ -308,29 +312,16 @@ def branch_and_bound(
     if seed.perm[anchor] > (n + 1) // 2:
         seed = seed.reversed()
 
-    if cfg.use_lower_bound and seed_objective == lower_bound:
-        return SolveResult(
-            ordering=seed,
-            objective=seed_objective,
-            lower_bound=lower_bound,
-            status=STATUS_OPTIMAL,
-            nodes_explored=0,
-            wall_time=time.perf_counter() - t0,
-        )
-
     search = _Search(
         u_rows, cfg, anchor, lower_bound, seed, seed_objective, t0 + cfg.time_limit
     )
     search.run()
 
-    objective = search.incumbent_obj
-    bound_certified = cfg.use_lower_bound and objective == lower_bound
-    status = STATUS_TIMEOUT if search.timed_out and not bound_certified else STATUS_OPTIMAL
     return SolveResult(
         ordering=Ordering(search.incumbent_perm),
-        objective=objective,
+        objective=search.incumbent_obj,
         lower_bound=lower_bound,
-        status=status,
+        status=STATUS_TIMEOUT if search.timed_out else STATUS_OPTIMAL,
         nodes_explored=search.nodes,
         wall_time=time.perf_counter() - t0,
     )

@@ -84,13 +84,6 @@ class Instance:
     def n(self) -> int:
         return len(self.sites)
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for i, j in self.bonds:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
     def mean_degree(self) -> float:
         return 2.0 * len(self.bonds) / self.n if self.n else 0.0
 
@@ -132,10 +125,8 @@ class InteractionMatrix:
             raise ValueError("weight matrix must be symmetric")
         if np.any(np.diag(u) != 0.0):
             raise ValueError("weight matrix diagonal must be zero")
-        if n > 1:
-            off = u[~np.eye(n, dtype=bool)]
-            if np.any(off <= 0.0):
-                raise ValueError("off-diagonal weights must be strictly positive")
+        if np.count_nonzero(u > 0.0) != n * (n - 1):  # diagonal is zero here
+            raise ValueError("off-diagonal weights must be strictly positive")
         u.setflags(write=False)
         return InteractionMatrix(n=n, u=u)
 
@@ -170,64 +161,45 @@ def _sample_separated_points(
 
 
 def _mutual_knn_bonds(sites: list[tuple[float, float]]) -> set[tuple[int, int]]:
-    """Mutual k-nearest-neighbor bonds with degree repair and density top-up."""
+    """The bond rule; nearest means by distance, ties by index.
+
+    Bond mutual 4-nearest neighbours; repair each vertex under degree 3 with
+    its nearest non-neighbours until it has degree 3; then add the shortest
+    missing pairs, ties by (i, j), until the mean degree is at least 3.5.
+    Both degrees are capped at n - 1.
+    """
     n = len(sites)
-    pts = np.asarray(sites)
-    d2 = _pairwise_squared_distances(pts)
+    d2 = _pairwise_squared_distances(np.asarray(sites))
     k = min(_KNN, n - 1)
 
-    # k nearest neighbours of each vertex, ties broken by index
-    neighbor_rank = [
-        sorted(range(n), key=lambda j, i=i: (d2[i, j], j)) for i in range(n)
-    ]
-    nearest: list[set[int]] = []
-    for i in range(n):
-        ranked = [j for j in neighbor_rank[i] if j != i]
-        nearest.append(set(ranked[:k]))
+    # each row by distance, ties by index; a vertex is its own column 0 since
+    # d2[v, v] = 0 and generated sites are at least r_min > 0 apart
+    rank = np.argsort(d2, axis=1, kind="stable")
+    nearest = [set(row[1 : k + 1].tolist()) for row in rank]
+    bonds = {(i, j) for i in range(n) for j in nearest[i] if i < j and i in nearest[j]}
 
-    bonds = {
-        (min(i, j), max(i, j))
-        for i in range(n)
-        for j in nearest[i]
-        if i in nearest[j]
-    }
-
-    # repair: vertices left under-coordinated get their nearest non-neighbors
     deg = [0] * n
     for i, j in bonds:
         deg[i] += 1
         deg[j] += 1
     target = min(_REPAIR_MIN_DEGREE, n - 1)
     for v in range(n):
-        if deg[v] >= target:
-            continue
-        for w in neighbor_rank[v]:
+        for w in map(int, rank[v, 1:]):
             if deg[v] >= target:
                 break
-            if w == v:
-                continue
             bond = (min(v, w), max(v, w))
-            if bond in bonds:
-                continue
-            bonds.add(bond)
-            deg[v] += 1
-            deg[w] += 1
+            if bond not in bonds:
+                bonds.add(bond)
+                deg[v] += 1
+                deg[w] += 1
 
-    # top-up: mutual proximity alone can undershoot the density target, so
-    # keep adding the shortest missing bond until the mean degree clears it
+    # re-adding a present pair leaves len(bonds) unchanged, so no filter
     if 2 * len(bonds) < DEGREE_WINDOW[0] * n:
-        spare = sorted(
-            (
-                (d2[i, j], i, j)
-                for i in range(n)
-                for j in range(i + 1, n)
-                if (i, j) not in bonds
-            ),
-        )
-        for _, i, j in spare:
+        iu, ju = np.triu_indices(n, 1)
+        for p in np.argsort(d2[iu, ju], kind="stable"):
             if 2 * len(bonds) >= DEGREE_WINDOW[0] * n:
                 break
-            bonds.add((i, j))
+            bonds.add((int(iu[p]), int(ju[p])))
     return bonds
 
 
@@ -274,17 +246,14 @@ def generate(n: int, seed: int, params: GenParams | None = None) -> Instance:
 
 def interaction_matrix(inst: Instance) -> InteractionMatrix:
     """Dense interaction matrix over all site pairs: u[i][j] = 1/d_ij^6."""
-    pts = np.asarray(inst.sites)
-    n = len(pts)
-    d2 = _pairwise_squared_distances(pts)
-    off = ~np.eye(n, dtype=bool)
-    zero = np.argwhere((d2 == 0.0) & off)
+    d2 = _pairwise_squared_distances(np.asarray(inst.sites))
+    np.fill_diagonal(d2, np.inf)  # so the diagonal weight is 1/inf = 0
+    zero = np.argwhere(d2 == 0.0)
     if len(zero):
-        i, j = (int(v) for v in zero[0])
-        raise CoincidentSitesError(min(i, j), max(i, j))
-    u = np.zeros((n, n))
+        i, j = (int(v) for v in zero[0])  # row-major first hit, so i < j
+        raise CoincidentSitesError(i, j)
     with np.errstate(divide="ignore", over="ignore"):
-        u[off] = 1.0 / d2[off] ** 3  # inf or 0 here fails _validated's checks
+        u = 1.0 / d2**3  # inf or 0 here fails _validated's checks
     return InteractionMatrix._validated(u)
 
 

@@ -1,5 +1,6 @@
 """Generator, interaction matrix, and instance serialization tests."""
 
+import hashlib
 import json
 import math
 
@@ -75,6 +76,43 @@ class TestGenerate:
 
     def test_id_encodes_n_and_seed(self):
         assert generate(6, 33).id == "inst-n6-s33"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# Digests of generator output recorded before the bond rule moved to numpy's
+# stable argsort.  n = 2 and 5 bond all k = n - 1 nearest; n = 8, 20, 60 and
+# the tight box run both repair and top-up; n = 300 runs repair.
+PINNED_INSTANCES = [
+    (2, 2000048, None, "ae4ceb2b77b865aeb02b9bb76ecc4b07357340efbb0c8e0ab2573c8b9f840240"),
+    (5, 5000057, None, "6ee823d75fed9ba8d977f1c095f98abdce1c1f731b1810fe4f57f932aa256a62"),
+    (8, 8000088, None, "af22532db9ba8923b1ca57b1344b652101b103880756c4b5613c93b9d29e61f2"),
+    (20, 20000121, None, "a47275cadce8ac8dc738a5d02922489934b4f5f20032c1ec4a7d344d994f5a8a"),
+    (60, 60000387, None, "356ddf81e488294ee9010b55d72bbfd4e88748027eb1e46d7196f88d6d294ca5"),
+    (300, 300000942, None, "5baee1a97e99900e812864ecfbc6af1e2fc1726320f5b5d8bc065c4b0949fa00"),
+    (30, 3, GenParams(L=5.0), "05c99db667d8f85d93451c1b679f677ef0616f34b8ded0b93bb4d7cdf184f4fc"),
+]
+
+PINNED_MATRICES = [
+    (20, 20000121, "c6622ba05b4eb503314de472fc8a1d57f550e2d238440bea52469811285260d5"),
+    (300, 300000942, "42d1ccc9d6b16071713809c74fe755ed5e366f689fc6d66b31cf8c3d5e64c0b9"),
+]
+
+
+@pytest.mark.parametrize(
+    "n,seed,params,digest", PINNED_INSTANCES, ids=[f"n{c[0]}-s{c[1]}" for c in PINNED_INSTANCES]
+)
+def test_pinned_instance_bytes(n, seed, params, digest):
+    assert _sha256(to_json(generate(n, seed, params)).encode()) == digest
+
+
+@pytest.mark.parametrize(
+    "n,seed,digest", PINNED_MATRICES, ids=[f"n{c[0]}-s{c[1]}" for c in PINNED_MATRICES]
+)
+def test_pinned_matrix_bytes(n, seed, digest):
+    assert _sha256(interaction_matrix(generate(n, seed)).u.tobytes()) == digest
 
 
 class TestInteractionMatrix:
