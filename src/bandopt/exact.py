@@ -328,19 +328,18 @@ def branch_and_bound(
 
 
 def _wrap_row(text: str, width: int = 240) -> list[str]:
-    """Split one constraint row at token boundaries; continuations indented."""
-    if len(text) <= width:
-        return [text]
-    tokens = text.split(" ")
-    lines: list[str] = []
-    current = tokens[0]
-    for tok in tokens[1:]:
-        if len(current) + 1 + len(tok) > width:
-            lines.append(current)
-            current = "   " + tok
-        else:
-            current += " " + tok
-    lines.append(current)
+    """Split one constraint row at the last space within ``width``.
+
+    Continuation lines start with three spaces.  This equals greedy token
+    packing because every token (a name or a float repr, under 30
+    characters) is far shorter than ``width``, so each cut finds a space.
+    """
+    lines = []
+    while len(text) > width:
+        cut = text.rfind(" ", 0, width + 1)
+        lines.append(text[:cut])
+        text = "   " + text[cut + 1 :]
+    lines.append(text)
     return lines
 
 
@@ -351,9 +350,10 @@ def export_lp(
 
     Variables: continuous ``b`` plus binaries ``x_v{v}_i{i}`` (n^2 + 1
     total).  Rows: ``pos{i}`` and ``vtx{v}`` assignment constraints, one
-    ``bw_{u}_{v}`` row per ordered vertex pair (both orientations realize
+    ``bw_{v}_{w}`` row per ordered vertex pair (both orientations realize
     the absolute position difference), and, when enabled, the ``lb`` bound
-    row and the ``sym`` anchor row.
+    row and the ``sym`` anchor row.  Vertex v's position is written as
+    ``x_v{v}_i1 + 2 x_v{v}_i2 + ... + n x_v{v}_in``.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -362,51 +362,28 @@ def export_lp(
         raise ValueError("LP export needs at least 2 vertices")
     _validate_config(n, cfg)
     anchor = cfg.anchor_vertex if cfg.anchor_vertex is not None else default_anchor(U)
-    half = (n + 1) // 2
-    u = U.u
+    u = U.u.tolist()
 
-    def var(v: int, i: int) -> str:
-        return f"x_v{v}_i{i}"
+    x = [[f"x_v{v}_i{i}" for i in range(1, n + 1)] for v in range(n)]
+    position = [[f"{i} {name}" if i > 1 else name for i, name in enumerate(row, 1)] for row in x]
+    plus = ["+ " + " + ".join(terms) for terms in position]
+    minus = ["- " + " - ".join(terms) for terms in position]
 
-    rows: list[str] = []
-    rows.append(f"\\ weighted bandwidth minimization over {n} sites")
-    rows.append("Minimize")
-    rows.append(" obj: b")
-    rows.append("Subject To")
-    for i in range(1, n + 1):
-        terms = " + ".join(var(v, i) for v in range(n))
-        rows.extend(_wrap_row(f" pos{i}: {terms} = 1"))
+    rows = [f"\\ weighted bandwidth minimization over {n} sites"]
+    rows += ["Minimize", " obj: b", "Subject To"]
+    for i, column in enumerate(zip(*x), 1):
+        rows.extend(_wrap_row(f" pos{i}: {' + '.join(column)} = 1"))
     for v in range(n):
-        terms = " + ".join(var(v, i) for i in range(1, n + 1))
-        rows.extend(_wrap_row(f" vtx{v}: {terms} = 1"))
-    for a in range(n):
-        for b_v in range(n):
-            if a == b_v:
-                continue
-            d6 = 1.0 / float(u[a, b_v])
-            parts = []
-            for i in range(1, n + 1):
-                coeff = "" if i == 1 else f"{i} "
-                parts.append(f"+ {coeff}{var(a, i)}")
-            for i in range(1, n + 1):
-                coeff = "" if i == 1 else f"{i} "
-                parts.append(f"- {coeff}{var(b_v, i)}")
-            parts.append(f"- {d6!r} b <= 0")
-            rows.extend(_wrap_row(f" bw_{a}_{b_v}: " + " ".join(parts)))
+        rows.extend(_wrap_row(f" vtx{v}: {' + '.join(x[v])} = 1"))
+    for v, w in permutations(range(n), 2):
+        rows.extend(_wrap_row(f" bw_{v}_{w}: {plus[v]} {minus[w]} - {1.0 / u[v][w]!r} b <= 0"))
     if cfg.use_lower_bound:
         rows.append(f" lb: b >= {theoretical_lower_bound(U)!r}")
     if cfg.use_symmetry_breaking:
-        parts = []
-        for i in range(1, n + 1):
-            coeff = "" if i == 1 else f"{i} "
-            parts.append(("+ " if i > 1 else "") + f"{coeff}{var(anchor, i)}")
-        rows.extend(_wrap_row(" sym: " + " ".join(parts) + f" <= {half}"))
-    rows.append("Bounds")
-    rows.append(" b >= 0")
-    rows.append("Binaries")
-    names = [var(v, i) for v in range(n) for i in range(1, n + 1)]
-    for start in range(0, len(names), 8):
-        rows.append(" " + " ".join(names[start : start + 8]))
+        rows.extend(_wrap_row(f" sym: {' + '.join(position[anchor])} <= {(n + 1) // 2}"))
+    rows += ["Bounds", " b >= 0", "Binaries"]
+    binaries = [name for row in x for name in row]
+    rows.extend(" " + " ".join(binaries[k : k + 8]) for k in range(0, len(binaries), 8))
     rows.append("End")
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 

@@ -332,10 +332,10 @@ def from_json(text: str) -> Instance:
             raise SchemaError("sites", f"sites[{idx}] has a non-finite coordinate")
         sites.append((x, y))
     n = len(sites)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sites[i] == sites[j]:
-                raise CoincidentSitesError(i, j)
+    first: dict[tuple[float, float], int] = {}
+    repeats = [(first[s], j) for j, s in enumerate(sites) if first.setdefault(s, j) < j]
+    if repeats:
+        raise CoincidentSitesError(*min(repeats))  # lexicographically first (i, j)
 
     raw_bonds = _require(doc, "bonds", list)
     bonds: set[tuple[int, int]] = set()

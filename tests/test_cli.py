@@ -3,7 +3,8 @@
 import pytest
 
 from bandopt.cli import main
-from bandopt.instance import GenParams, Instance, save
+from bandopt.exact import export_lp
+from bandopt.instance import GenParams, Instance, generate, interaction_matrix, load, save
 
 
 @pytest.mark.parametrize("gap", [1e-60, 1e60])
@@ -21,3 +22,24 @@ def test_solve_rejects_out_of_range_weights(tmp_path, capsys, gap):
     assert main(["solve", "--instance", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("bandopt: ")
     assert not out.exists()
+
+
+def test_lp_writes_export_lp_model(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    save(generate(6, 3), path)
+    out, ref = tmp_path / "model.lp", tmp_path / "ref.lp"
+    assert main(["lp", "--instance", str(path), "--out", str(out)]) == 0
+    export_lp(interaction_matrix(load(path)), None, ref)
+    assert out.read_bytes() == ref.read_bytes()
+
+    plain = tmp_path / "plain.lp"
+    assert main(["lp", "--instance", str(path), "--out", str(plain), "--no-lb", "--no-sym"]) == 0
+    full, kept = out.read_text().splitlines(), plain.read_text().splitlines()
+    dropped = [line for line in full if line not in kept]
+    assert [line.split(":")[0] for line in dropped] == [" lb", " sym"]
+    assert [line for line in full if line not in dropped] == kept
+
+    bad = tmp_path / "bad.lp"
+    assert main(["lp", "--instance", str(path), "--out", str(bad), "--anchor", "6"]) == 1
+    assert capsys.readouterr().err.startswith("bandopt: ")
+    assert not bad.exists()

@@ -1,5 +1,6 @@
 """Exact solver tests: oracle, branch-and-bound, LP export, result IO."""
 
+import hashlib
 import itertools
 import re
 import time
@@ -310,6 +311,54 @@ class TestExportLp:
             export_lp(
                 InteractionMatrix.from_array(np.zeros((1, 1))), None, tmp_path / "x.lp"
             )
+
+
+# Pair weights spanning 1e-26..1e26, whose reciprocals have the longest reprs.
+EXTREME_WEIGHTS = (1e-26, 3.3e-20, 7.1e-15, 2.9e-09, 0.0055, 4200.0, 8.8e08, 1.7e14, 6.1e19, 1e26)
+
+
+def _extreme_matrix():
+    w = np.zeros((5, 5))
+    w[np.triu_indices(5, 1)] = EXTREME_WEIGHTS
+    return InteractionMatrix.from_array(w + w.T)
+
+
+_LP_CONFIGS = {
+    "default": lambda n: None,
+    "plain": lambda n: SolveConfig(use_lower_bound=False, use_symmetry_breaking=False),
+    "anchor": lambda n: SolveConfig(anchor_vertex=n - 1),
+}
+
+# Digests of export_lp output recorded before the writer stated each position
+# sum once.  n = 12 and 60 wrap rows; n = 60 is the benchmark's instance.  The
+# anchor config is left out where n - 1 is already the default anchor.
+PINNED_LP = [
+    (2, 0, "default", "a89ae22353d85bdf71e26dcf2f63738e738b0216cb56f2559fb43b40da222371"),
+    (2, 0, "plain", "5bfb98ff746d1dd80d91b892a8ae0da44678478874800e2e69cc54a37c61316e"),
+    (2, 0, "anchor", "3ac219b4f90eabb887a0e34b1ceb54146c8de5e45f02d6f3b35b64729b6b125f"),
+    (5, 0, "default", "b95427867d156ac83b27935451140c15e369143c7603da2629449f1acc81c568"),
+    (5, 0, "plain", "5f878591c7084cef7b81ecf62b8383b503a26137f0997b28ab055f5206e2ba69"),
+    (5, 0, "anchor", "082317bcf41e10aa244631d275115d9279e4f01fc7fedb2b2980728cad65dc41"),
+    (12, 0, "default", "0441d9d5b7f910ec14c8d35ed91fe4a87bc882ccf09fee1584dc0b8319fac2b1"),
+    (12, 0, "plain", "a69d7bd48355c59acfc919d689fcdd48f79516ad26ad12aa523c7c4b638d238d"),
+    (60, 60000222, "default", "83b2d3d4785850a82637cf41cba59730f41d394ab436131b5f9d9e8c7886bceb"),
+    (60, 60000222, "plain", "79b672be8dddfbc8f14c7224d2e625ba6f05eb1baf805a2114ebf0b7dddd3ede"),
+    (60, 60000222, "anchor", "60dd70bae7494578ece7344e151b29fe78eab8368c34b2314a99a34193fb5939"),
+    (5, None, "default", "021d20f94309772d931d4c4b9d7095c6ea7840c43a42545fb3419ef3c9ddd136"),
+    (5, None, "plain", "deae617cd378fb78effdb229af9227853103f2c69666a10fb342c36664877321"),
+]
+
+
+@pytest.mark.parametrize(
+    "n,seed,config,digest",
+    PINNED_LP,
+    ids=[f"n{n}-{'extreme' if s is None else s}-{c}" for n, s, c, _ in PINNED_LP],
+)
+def test_pinned_lp_bytes(tmp_path, n, seed, config, digest):
+    U = _extreme_matrix() if seed is None else interaction_matrix(generate(n, seed))
+    path = tmp_path / "model.lp"
+    export_lp(U, _LP_CONFIGS[config](n), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestResultSerialization:

@@ -214,6 +214,15 @@ class TestSerialization:
         with pytest.raises(CoincidentSitesError):
             from_json(json.dumps(doc))
 
+    def test_coincident_pair_is_lexicographically_first(self):
+        # B repeats first (1, 2), but (0, 3) is the smaller pair
+        inst = _toy([(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 0.0)])
+        with pytest.raises(CoincidentSitesError) as parsed:
+            from_json(to_json(inst))
+        with pytest.raises(CoincidentSitesError) as built:
+            interaction_matrix(inst)
+        assert parsed.value.pair == built.value.pair == (0, 3)
+
     def test_bond_order_enforced(self):
         doc = json.loads(to_json(generate(4, 1)))
         i, j = doc["bonds"][0]
