@@ -92,10 +92,7 @@ def _cmd_lp(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.paper_scale:
-        sizes = [10, 15, 20]
-    else:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
+    sizes = [int(s) for s in args.sizes.split(",") if s]
     cfg = SolveConfig(time_limit=args.time_limit)
     report = run_suite(
         sizes,
@@ -163,8 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42, help="suite base seed")
     p.add_argument("--ab-reinforcements", action="store_true",
                    help="rerun each solve without the anchor restriction to compare node counts")
-    p.add_argument("--paper-scale", action="store_true",
-                   help="use sizes 10,15,20 (long runs; set --time-limit)")
     p.add_argument("--time-limit", type=float, default=3600.0, help="per-solve wall clock limit")
     p.add_argument("--jobs", type=int, default=1, help="instances solved concurrently")
     p.add_argument("--out", required=True, help="report CSV output path")

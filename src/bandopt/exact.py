@@ -132,25 +132,33 @@ class _Stop(Exception):
     """Internal signal: abandon the search."""
 
 
-def _branch_order(u: list[list[float]], pos: list[int], placed: list[int]) -> list[int]:
+def _branch_order(
+    u: list[list[float]], pos: list[int], placed: list[int], p: int
+) -> list[tuple[float, int, float]]:
     """The branching rule: unplaced vertices, strongest link to the placed set first.
 
     A vertex's link is its largest interaction with any placed vertex (0.0
-    when nothing is placed yet); ties go to the lower index.
+    when nothing is placed yet); ties go to the lower index.  The same pass
+    over the placed set yields the vertex's stretch at position ``p``,
+    ``max_w u[v][w] * (p - pos[w])``.  Returns ``(-link, v, stretch)``
+    entries in branching order.
     """
     scored = []
-    for v, p in enumerate(pos):
-        if p:
+    for v, q in enumerate(pos):
+        if q:
             continue
         row = u[v]
-        strongest = 0.0
+        link = stretch = 0.0
         for w in placed:
             x = row[w]
-            if x > strongest:
-                strongest = x
-        scored.append((-strongest, v))
+            if x > link:
+                link = x
+            s = x * (p - pos[w])
+            if s > stretch:
+                stretch = s
+        scored.append((-link, v, stretch))
     scored.sort()
-    return [v for _, v in scored]
+    return scored
 
 
 def _greedy_probe(u: list[list[float]]) -> Ordering:
@@ -164,107 +172,10 @@ def _greedy_probe(u: list[list[float]]) -> Ordering:
     pos[0] = 1
     placed = [0]
     for p in range(2, len(u) + 1):
-        v = _branch_order(u, pos, placed)[0]
+        v = _branch_order(u, pos, placed, p)[0][1]
         pos[v] = p
         placed.append(v)
     return Ordering(tuple(pos))
-
-
-class _Search:
-    """Depth-first branch and bound over position assignments.
-
-    Positions are filled left to right, candidates in ``_branch_order``.
-    A node is one evaluated position assignment.  The incumbent changes
-    only on strict improvement.  With the lower bound on, the search ends
-    as soon as the incumbent equals it, before the first node if the seed
-    already does; only a time or node limit sets ``timed_out``.
-    """
-
-    def __init__(
-        self,
-        u: list[list[float]],
-        cfg: SolveConfig,
-        anchor: int,
-        lower_bound: float,
-        seed: Ordering,
-        seed_objective: float,
-        deadline: float,
-    ):
-        self.n = len(u)
-        self.u = u
-        self.sym = cfg.use_symmetry_breaking
-        self.use_lb = cfg.use_lower_bound
-        self.lb = lower_bound
-        self.anchor = anchor
-        self.half = (self.n + 1) // 2
-        self.deadline = deadline
-        self.node_limit = cfg.node_limit
-        self.timed_out = False
-        self.incumbent_obj = seed_objective
-        self.incumbent_perm = seed.perm
-        self.nodes = 0
-        self.pos = [0] * self.n
-        self.placed: list[int] = []
-
-    def run(self) -> None:
-        if self.use_lb and self.incumbent_obj == self.lb:
-            return
-        if time.perf_counter() >= self.deadline:
-            self.timed_out = True
-            return
-        try:
-            self._extend(0, 0.0)
-        except _Stop:
-            pass
-
-    def _count_node(self) -> None:
-        self.nodes += 1
-        if self.node_limit is not None and self.nodes >= self.node_limit:
-            self.timed_out = True
-            raise _Stop
-        if self.nodes & _CHECK_MASK == 0 and time.perf_counter() >= self.deadline:
-            self.timed_out = True
-            raise _Stop
-
-    def _offer(self, objective: float, v: int, p: int) -> None:
-        perm = list(self.pos)
-        perm[v] = p
-        self.incumbent_obj = objective
-        self.incumbent_perm = tuple(perm)
-        if self.use_lb and objective == self.lb:
-            raise _Stop
-
-    def _extend(self, depth: int, partial: float) -> None:
-        n = self.n
-        u = self.u
-        pos = self.pos
-        placed = self.placed
-        p = depth + 1
-
-        if self.sym and pos[self.anchor] == 0 and p == self.half:
-            candidates = [self.anchor]
-        else:
-            candidates = _branch_order(u, pos, placed)
-
-        last = p == n
-        for v in candidates:
-            self._count_node()
-            row = u[v]
-            new = partial
-            for w in placed:
-                term = row[w] * (p - pos[w])
-                if term > new:
-                    new = term
-            if new >= self.incumbent_obj:
-                continue
-            if last:
-                self._offer(new, v, p)
-            else:
-                pos[v] = p
-                placed.append(v)
-                self._extend(depth + 1, new)
-                placed.pop()
-                pos[v] = 0
 
 
 def branch_and_bound(
@@ -277,7 +188,17 @@ def branch_and_bound(
     The incumbent starts from the better of ``warm_start`` (the identity
     ordering when absent) and a greedy construction dive, then is
     reversal-normalized so the anchor sits in the first half of the
-    positions.  Hitting a time or node limit returns the incumbent with
+    positions.  Positions are then filled left to right, candidates in
+    ``_branch_order``; with symmetry breaking on, the anchor is forced into
+    position ``ceil(n/2)`` if it is still unplaced there.  A node is one
+    candidate (vertex, position) evaluation, counted before the prune test;
+    a candidate is cut when its partial objective is ``>=`` the incumbent,
+    which changes only on strict improvement.
+
+    Stop rules: with the lower bound on, the search ends as soon as the
+    incumbent equals it, before the first node if the seed already does.
+    Otherwise a deadline already passed before the first node, the node
+    limit, or the deadline checked every 1024 nodes stops the search with
     status "feasible-timeout"; natural termination is "optimal".
     """
     if cfg is None:
@@ -302,9 +223,9 @@ def branch_and_bound(
     seed = warm_start if warm_start is not None else Ordering.identity(n)
     if seed.n != n:
         raise ValueError(f"warm start covers {seed.n} vertices, matrix has {n}")
-    u_rows: list[list[float]] = [[float(x) for x in row] for row in U.u]
+    u: list[list[float]] = [[float(x) for x in row] for row in U.u]
     seed_objective = weighted_bandwidth(U, seed).value
-    probe = _greedy_probe(u_rows)
+    probe = _greedy_probe(u)
     probe_objective = weighted_bandwidth(U, probe).value
     if probe_objective < seed_objective:
         seed = probe
@@ -312,17 +233,59 @@ def branch_and_bound(
     if seed.perm[anchor] > (n + 1) // 2:
         seed = seed.reversed()
 
-    search = _Search(
-        u_rows, cfg, anchor, lower_bound, seed, seed_objective, t0 + cfg.time_limit
-    )
-    search.run()
+    use_lb = cfg.use_lower_bound
+    forced = (n + 1) // 2 if cfg.use_symmetry_breaking else 0  # 0: no forced position
+    node_limit = cfg.node_limit
+    deadline = t0 + cfg.time_limit
+    best_obj, best_perm = seed_objective, seed.perm
+    nodes = 0
+    timed_out = False
+    pos = [0] * n
+    placed: list[int] = []
+
+    def extend(p: int, partial: float) -> None:
+        nonlocal best_obj, best_perm, nodes, timed_out
+        entries = _branch_order(u, pos, placed, p)
+        if p == forced and not pos[anchor]:
+            entries = [e for e in entries if e[1] == anchor]
+        for _, v, stretch in entries:
+            nodes += 1
+            if (node_limit is not None and nodes >= node_limit) or (
+                nodes & _CHECK_MASK == 0 and time.perf_counter() >= deadline
+            ):
+                timed_out = True
+                raise _Stop
+            new = stretch if stretch > partial else partial
+            if new >= best_obj:
+                continue
+            pos[v] = p
+            if p == n:
+                best_obj, best_perm = new, tuple(pos)
+                if use_lb and new == lower_bound:
+                    raise _Stop
+            else:
+                placed.append(v)
+                extend(p + 1, new)
+                placed.pop()
+            pos[v] = 0
+
+    if not (use_lb and best_obj == lower_bound):
+        timed_out = time.perf_counter() >= deadline
+        if not timed_out:
+            try:
+                extend(1, 0.0)
+            except _Stop:
+                pass
+    # extend reaches itself through its closure; break that cycle so the
+    # search state is freed now rather than by the cyclic garbage collector
+    del extend
 
     return SolveResult(
-        ordering=Ordering(search.incumbent_perm),
-        objective=search.incumbent_obj,
+        ordering=Ordering(best_perm),
+        objective=best_obj,
         lower_bound=lower_bound,
-        status=STATUS_TIMEOUT if search.timed_out else STATUS_OPTIMAL,
-        nodes_explored=search.nodes,
+        status=STATUS_TIMEOUT if timed_out else STATUS_OPTIMAL,
+        nodes_explored=nodes,
         wall_time=time.perf_counter() - t0,
     )
 

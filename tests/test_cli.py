@@ -4,6 +4,7 @@ import pytest
 
 from bandopt.cli import main
 from bandopt.exact import export_lp
+from bandopt.harness import load_report, report_to_csv
 from bandopt.instance import GenParams, Instance, generate, interaction_matrix, load, save
 
 
@@ -43,3 +44,18 @@ def test_lp_writes_export_lp_model(tmp_path, capsys):
     assert main(["lp", "--instance", str(path), "--out", str(bad), "--anchor", "6"]) == 1
     assert capsys.readouterr().err.startswith("bandopt: ")
     assert not bad.exists()
+
+
+def test_bench_writes_report_and_summary(tmp_path):
+    plain, ab = tmp_path / "r.csv", tmp_path / "ab.csv"
+    assert main(["bench", "--sizes", "5,6", "--per-size", "2", "--out", str(plain)]) == 0
+    assert main(
+        ["bench", "--sizes", "5,6", "--per-size", "2", "--ab-reinforcements", "--out", str(ab)]
+    ) == 0
+    for out in (plain, ab):
+        report = load_report(out)
+        assert report_to_csv(report) == out.read_text()
+        assert [row.n for row in report.rows] == [5, 5, 6, 6]
+        assert (tmp_path / f"{out.stem}.summary.json").exists()
+    assert all(row.nodes_off is None for row in load_report(plain).rows)
+    assert all(row.nodes_off is not None for row in load_report(ab).rows)

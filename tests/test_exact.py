@@ -1,5 +1,6 @@
 """Exact solver tests: oracle, branch-and-bound, LP export, result IO."""
 
+import gc
 import hashlib
 import itertools
 import re
@@ -169,6 +170,23 @@ class TestBranchAndBound:
         assert weighted_bandwidth(U, res.ordering).value == res.objective
         assert res.objective >= res.lower_bound
 
+    def test_deadline_passed_before_first_node(self):
+        U = interaction_matrix(generate(12, 2024))
+        res = branch_and_bound(U, SolveConfig(time_limit=1e-9, use_lower_bound=False))
+        assert res.status == STATUS_TIMEOUT
+        assert res.nodes_explored == 0
+        assert weighted_bandwidth(U, res.ordering).value == res.objective
+
+    def test_lower_bound_stop_at_leaf(self):
+        # the search, not the seed, reaches the bound: the stop at a leaf
+        U = interaction_matrix(generate(6, 6000023))
+        on = branch_and_bound(U)
+        assert on.status == STATUS_OPTIMAL
+        assert on.objective == on.lower_bound == 8.291202212628649
+        assert on.nodes_explored == 52
+        off = branch_and_bound(U, SolveConfig(use_lower_bound=False))
+        assert (off.status, off.objective, off.nodes_explored) == (STATUS_OPTIMAL, on.objective, 322)
+
     def test_node_limit_trips_exactly(self):
         U = interaction_matrix(generate(12, 2024))
         res = branch_and_bound(
@@ -183,6 +201,20 @@ class TestBranchAndBound:
         res = branch_and_bound(interaction_matrix(generate(9, 9000080)))
         assert res.status == STATUS_OPTIMAL
         assert res.nodes_explored == 37092
+
+    def test_solve_leaves_no_reference_cycles(self):
+        # garbage cycles would hold each solve's search state until a
+        # collection, which raises peak memory over a long suite
+        U = interaction_matrix(generate(8, 8000072))
+        gc.collect()
+        gc.disable()
+        try:
+            for lb, sym in itertools.product((True, False), repeat=2):
+                branch_and_bound(U, SolveConfig(use_lower_bound=lb, use_symmetry_breaking=sym))
+            branch_and_bound(U, SolveConfig(node_limit=50))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_config_validation(self):
         U = interaction_matrix(generate(5, 1))
@@ -228,6 +260,32 @@ class TestBranchAndBound:
             use_lower_bound=lb, use_symmetry_breaking=sym, node_limit=node_limit
         )
         res = branch_and_bound(U, cfg)
+        assert (res.status, res.objective, res.nodes_explored) == (status, objective, nodes)
+
+    # Paper sizes from the benchmark's seed formula 42 + 1000003*n + r at its
+    # 25k-node budget, recorded before the search became one function.  They
+    # reach the forced anchor position ceil(n/2) and stop deep on the limit.
+    @pytest.mark.parametrize(
+        "n,seed,lb,sym,status,objective,nodes",
+        [
+            (15, 15000087, True, True, STATUS_OPTIMAL, 8.180640097111464, 2435),
+            (15, 15000087, True, False, STATUS_OPTIMAL, 8.180640097111464, 30),
+            (15, 15000087, False, True, STATUS_TIMEOUT, 8.180640097111464, 25000),
+            (15, 15000087, False, False, STATUS_TIMEOUT, 8.180640097111464, 25000),
+            (20, 20000103, True, True, STATUS_TIMEOUT, 14.824404959539256, 25000),
+            (20, 20000103, True, False, STATUS_TIMEOUT, 10.74423762938497, 25000),
+            (20, 20000103, False, True, STATUS_TIMEOUT, 14.824404959539256, 25000),
+            (20, 20000103, False, False, STATUS_TIMEOUT, 10.74423762938497, 25000),
+            (20, 20000201, True, True, STATUS_OPTIMAL, 8.443993320490671, 16483),
+            (20, 20000201, True, False, STATUS_OPTIMAL, 8.443993320490671, 16483),
+            (20, 20000201, False, True, STATUS_TIMEOUT, 8.443993320490671, 25000),
+            (20, 20000201, False, False, STATUS_TIMEOUT, 8.443993320490671, 25000),
+        ],
+    )
+    def test_pinned_nodes_paper_scale(self, n, seed, lb, sym, status, objective, nodes):
+        inst = generate(n, seed)
+        cfg = SolveConfig(use_lower_bound=lb, use_symmetry_breaking=sym, node_limit=25_000)
+        res = branch_and_bound(interaction_matrix(inst), cfg, warm_start=rcm_on_instance(inst))
         assert (res.status, res.objective, res.nodes_explored) == (status, objective, nodes)
 
 
