@@ -29,6 +29,8 @@ def _gen_params(n: int, r_min: float | None, box_side: float | None) -> GenParam
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     params = _gen_params(args.n, args.r_min, args.box_side)
     if args.count == 1:
         inst = generate(args.n, args.seed, params)

@@ -223,7 +223,7 @@ def branch_and_bound(
     seed = warm_start if warm_start is not None else Ordering.identity(n)
     if seed.n != n:
         raise ValueError(f"warm start covers {seed.n} vertices, matrix has {n}")
-    u: list[list[float]] = [[float(x) for x in row] for row in U.u]
+    u: list[list[float]] = U.u.tolist()
     seed_objective = weighted_bandwidth(U, seed).value
     probe = _greedy_probe(u)
     probe_objective = weighted_bandwidth(U, probe).value

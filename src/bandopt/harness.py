@@ -11,26 +11,13 @@ from __future__ import annotations
 import json
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 from .exact import STATUS_OPTIMAL, SolveConfig, branch_and_bound
 from .instance import GenerationError, generate, interaction_matrix
 from .metrics import rcm_gap, weighted_bandwidth
 from .rcm import rcm_on_instance
-
-CSV_HEADER = (
-    "id",
-    "n",
-    "seed",
-    "obj_rcm",
-    "opt",
-    "gap_percent",
-    "status",
-    "nodes_on",
-    "nodes_off",
-    "wall_time_s",
-)
 
 # spread replicate seeds far apart per size so suites never collide
 _SEED_STRIDE = 1_000_003
@@ -56,6 +43,17 @@ class GapRow:
     nodes_on: int
     nodes_off: int | None
     wall_time_s: float
+
+
+CSV_HEADER = tuple(f.name for f in fields(GapRow))
+
+
+def _optional_int(cell: str) -> int | None:
+    return None if cell == "" else int(cell)
+
+
+# one parser per CSV_HEADER column
+_PARSERS = (str, int, int, float, float, float, str, int, _optional_int, float)
 
 
 @dataclass(frozen=True)
@@ -183,24 +181,7 @@ def _fmt(value: float | int | str | None) -> str:
 
 def report_to_csv(report: GapReport) -> str:
     lines = [",".join(CSV_HEADER)]
-    for r in report.rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.id,
-                    r.n,
-                    r.seed,
-                    r.obj_rcm,
-                    r.opt,
-                    r.gap_percent,
-                    r.status,
-                    r.nodes_on,
-                    r.nodes_off,
-                    r.wall_time_s,
-                )
-            )
-        )
+    lines.extend(",".join(_fmt(v) for v in astuple(r)) for r in report.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -210,23 +191,10 @@ def report_from_csv(text: str) -> GapReport:
         raise ValueError(f"expected CSV header {','.join(CSV_HEADER)!r}")
     rows = []
     for line in lines[1:]:
-        fields = line.split(",")
-        if len(fields) != len(CSV_HEADER):
-            raise ValueError(f"row has {len(fields)} fields, expected {len(CSV_HEADER)}")
-        rows.append(
-            GapRow(
-                id=fields[0],
-                n=int(fields[1]),
-                seed=int(fields[2]),
-                obj_rcm=float(fields[3]),
-                opt=float(fields[4]),
-                gap_percent=float(fields[5]),
-                status=fields[6],
-                nodes_on=int(fields[7]),
-                nodes_off=None if fields[8] == "" else int(fields[8]),
-                wall_time_s=float(fields[9]),
-            )
-        )
+        cells = line.split(",")
+        if len(cells) != len(CSV_HEADER):
+            raise ValueError(f"row has {len(cells)} fields, expected {len(CSV_HEADER)}")
+        rows.append(GapRow(*(parse(cell) for parse, cell in zip(_PARSERS, cells))))
     return GapReport(rows=tuple(rows))
 
 

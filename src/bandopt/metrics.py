@@ -69,26 +69,21 @@ def weighted_bandwidth(U: InteractionMatrix, ordering: Ordering) -> Bandwidth:
     """max over all vertex pairs of u[i][j] * |position difference|.
 
     Ties in the attaining pair report the lexicographically smallest (i, j).
-    A 1-vertex ordering has bandwidth 0 and no pair.
+    A 1-vertex ordering has bandwidth 0 and no pair.  The tie rule relies on
+    the ``InteractionMatrix`` invariant that ``u`` is symmetric, which
+    ``_validated`` enforces and ``permute_matrix`` preserves.
     """
     n = U.n
     if ordering.n != n:
         raise ValueError(f"ordering covers {ordering.n} vertices, matrix has {n}")
     if n == 1:
         return Bandwidth(0.0, None)
-    perm = ordering.perm
-    u = U.u
-    best = -1.0
-    best_pair: tuple[int, int] | None = None
-    for i in range(n):
-        pi = perm[i]
-        row = u[i]
-        for j in range(i + 1, n):
-            val = row[j] * abs(pi - perm[j])
-            if val > best:
-                best = val
-                best_pair = (i, j)
-    return Bandwidth(float(best), best_pair)
+    p = np.asarray(ordering.perm)
+    cost = U.u * np.abs(p[:, None] - p)
+    # cost is symmetric with a zero diagonal, so the first row-major maximum
+    # lies above the diagonal: it is the smallest attaining (i, j) with i < j
+    k = int(cost.argmax())
+    return Bandwidth(cost.item(k), divmod(k, n))
 
 
 def classic_bandwidth(bonds: Iterable[tuple[int, int]], ordering: Ordering) -> int:

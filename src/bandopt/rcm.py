@@ -43,17 +43,10 @@ def cuthill_mckee(
 
     visited = [False] * n
     order: list[int] = []
-    first_root = start
-
-    while len(order) < n:
-        if first_root is not None:
-            root = first_root
-            first_root = None
-        else:
-            root = min(
-                (v for v in range(n) if not visited[v]),
-                key=lambda v: (degree[v], v),
-            )
+    roots = sorted(range(n), key=lambda v: (degree[v], v))
+    for root in ([] if start is None else [start]) + roots:
+        if visited[root]:
+            continue
         visited[root] = True
         level = [root]
         while level:

@@ -25,6 +25,14 @@ def test_solve_rejects_out_of_range_weights(tmp_path, capsys, gap):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_gen_rejects_nonpositive_count(tmp_path, capsys, count):
+    out = tmp_path / "suite"
+    assert main(["gen", "--n", "8", "--seed", "1", "--count", str(count), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("bandopt: ")
+    assert not out.exists()
+
+
 def test_lp_writes_export_lp_model(tmp_path, capsys):
     path = tmp_path / "inst.json"
     save(generate(6, 3), path)

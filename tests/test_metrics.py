@@ -56,6 +56,33 @@ def _matrix_and_ordering(draw):
     return _matrix_from_points(pts), Ordering(tuple(perm))
 
 
+@st.composite
+def _integer_matrix_and_ordering(draw):
+    """Weights 1..3, so many pairs tie for the maximum."""
+    n = draw(st.integers(1, 12))
+    u = np.zeros((n, n))
+    iu = np.triu_indices(n, 1)
+    u[iu] = draw(st.lists(st.integers(1, 3), min_size=len(iu[0]), max_size=len(iu[0])))
+    u += u.T
+    perm = draw(st.permutations(range(1, n + 1)))
+    return InteractionMatrix.from_array(u), Ordering(tuple(perm))
+
+
+def _reference_bandwidth(U, ordering):
+    """The objective as a double loop over pairs i < j, keeping the first maximum."""
+    n = U.n
+    if n == 1:
+        return 0.0, None
+    perm = ordering.perm
+    best, best_pair = -1.0, None
+    for i in range(n):
+        for j in range(i + 1, n):
+            val = U.u[i][j] * abs(perm[i] - perm[j])
+            if val > best:
+                best, best_pair = val, (i, j)
+    return float(best), best_pair
+
+
 class TestOrdering:
     def test_identity(self):
         assert Ordering.identity(4).perm == (1, 2, 3, 4)
@@ -102,6 +129,25 @@ class TestWeightedBandwidth:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             weighted_bandwidth(COLLINEAR, Ordering.identity(4))
+
+    def test_tie_across_rows_reports_smallest_pair(self):
+        # (1,3) costs 1*2 and (2,3) costs 2*1; every other pair costs less
+        u = np.full((4, 4), 0.1)
+        np.fill_diagonal(u, 0.0)
+        u[1, 3] = u[3, 1] = 1.0
+        u[2, 3] = u[3, 2] = 2.0
+        bw = weighted_bandwidth(InteractionMatrix.from_array(u), Ordering.identity(4))
+        assert bw.value == 2.0
+        assert bw.argpair == (1, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_integer_matrix_and_ordering())
+    def test_matches_reference_loop(self, pair):
+        U, ordering = pair
+        bw = weighted_bandwidth(U, ordering)
+        assert (bw.value, bw.argpair) == _reference_bandwidth(U, ordering)
+        assert type(bw.value) is float
+        assert bw.argpair is None or all(type(x) is int for x in bw.argpair)
 
     @settings(max_examples=200, deadline=None)
     @given(_matrix_and_ordering())

@@ -34,6 +34,11 @@ class TestCuthillMckee:
         bonds = frozenset({(0, 1), (2, 3), (3, 4)})
         assert cuthill_mckee(bonds, 5).perm == (1, 2, 3, 4, 5)
 
+    def test_start_in_later_component(self):
+        # start roots the first traversal; the rest keeps the (degree, index) rule
+        bonds = frozenset({(0, 1), (2, 3), (3, 4)})
+        assert cuthill_mckee(bonds, 5, start=4).perm == (4, 5, 3, 2, 1)
+
     def test_no_bonds(self):
         assert cuthill_mckee(frozenset(), 3).perm == (1, 2, 3)
 
