@@ -97,12 +97,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     cfg = SolveConfig(time_limit=args.time_limit)
     report = run_suite(
-        sizes,
-        args.per_size,
-        args.seed,
-        cfg,
-        ab_compare=args.ab_reinforcements,
-        jobs=args.jobs,
+        sizes, args.per_size, args.seed, cfg, ab_compare=args.ab_reinforcements
     )
     out = Path(args.out)
     save_report(report, out)
@@ -163,7 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ab-reinforcements", action="store_true",
                    help="rerun each solve without the anchor restriction to compare node counts")
     p.add_argument("--time-limit", type=float, default=3600.0, help="per-solve wall clock limit")
-    p.add_argument("--jobs", type=int, default=1, help="instances solved concurrently")
     p.add_argument("--out", required=True, help="report CSV output path")
     p.set_defaults(func=_cmd_bench)
 

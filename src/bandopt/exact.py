@@ -60,7 +60,7 @@ class SolveResult:
 
 
 def _validate_config(n: int, cfg: SolveConfig) -> None:
-    if cfg.time_limit <= 0:
+    if not cfg.time_limit > 0:  # also rejects NaN, which no deadline would ever reach
         raise ValueError(f"time_limit must be positive, got {cfg.time_limit}")
     if cfg.node_limit is not None and cfg.node_limit < 1:
         raise ValueError(f"node_limit must be at least 1, got {cfg.node_limit}")

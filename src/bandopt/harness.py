@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
@@ -107,7 +106,8 @@ def run_suite(
     are recorded in the row's status, never dropped; generation failures
     abort the suite with the failing instance identified.  With
     ``ab_compare`` every instance is solved twice to fill ``nodes_off``.
-    Rows come back sorted by (n, replicate) regardless of job order.
+    Solves always run one after another on the calling thread; rows come
+    back sorted by (n, replicate).
 
     Args:
         sizes: instance sizes to cover, at least one.
@@ -115,7 +115,8 @@ def run_suite(
         seed0: base seed for the whole suite.
         cfg: solver configuration (default: SolveConfig()).
         ab_compare: also solve with the anchor restriction off.
-        jobs: instances solved concurrently when > 1.
+        jobs: must be at least 1 and has no other effect; kept because
+            ``benchmarks/workloads.py`` calls ``run_suite(..., jobs=2)``.
     """
     if not sizes:
         raise ValueError("sizes must be non-empty")
@@ -126,13 +127,7 @@ def run_suite(
     if cfg is None:
         cfg = SolveConfig()
     tasks = [(n, r) for n in sizes for r in range(per_size)]
-    if jobs == 1:
-        rows = [_solve_one(n, r, seed0, cfg, ab_compare) for n, r in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(
-                pool.map(lambda t: _solve_one(t[0], t[1], seed0, cfg, ab_compare), tasks)
-            )
+    rows = [_solve_one(n, r, seed0, cfg, ab_compare) for n, r in tasks]
     rows.sort(key=lambda row: (row.n, row.seed))
     return GapReport(rows=tuple(rows))
 

@@ -216,8 +216,8 @@ def generate(n: int, seed: int, params: GenParams | None = None) -> Instance:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     if params is None:
         params = GenParams.defaults(n)
-    if params.L <= 0 or params.r_min <= 0:
-        raise ValueError("box side and minimum separation must be positive")
+    if not (0 < params.L < math.inf and 0 < params.r_min < math.inf):
+        raise ValueError("box side and minimum separation must be positive and finite")
     if n * params.r_min**2 > 0.6 * params.L**2:
         raise GenerationError(
             f"packing infeasible: n*r_min^2 = {n * params.r_min ** 2:.4g} is not "
@@ -313,8 +313,8 @@ def from_json(text: str) -> Instance:
     raw_params = _require(doc, "params", dict)
     L = _require(raw_params, "L", float, where="params")
     r_min = _require(raw_params, "r_min", float, where="params")
-    if L <= 0 or r_min <= 0:
-        raise SchemaError("params", "params.L and params.r_min must be positive")
+    if not (0 < L < math.inf and 0 < r_min < math.inf):
+        raise SchemaError("params", "params.L and params.r_min must be positive and finite")
 
     raw_sites = _require(doc, "sites", list)
     if not raw_sites:

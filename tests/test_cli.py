@@ -25,6 +25,15 @@ def test_solve_rejects_out_of_range_weights(tmp_path, capsys, gap):
     assert not out.exists()
 
 
+def test_solve_rejects_nan_time_limit(tmp_path, capsys):
+    path, out = tmp_path / "inst.json", tmp_path / "result.json"
+    save(generate(6, 1), path)
+    argv = ["solve", "--instance", str(path), "--out", str(out), "--time-limit", "nan"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("bandopt: time_limit")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("count", [0, -3])
 def test_gen_rejects_nonpositive_count(tmp_path, capsys, count):
     out = tmp_path / "suite"
@@ -67,3 +76,6 @@ def test_bench_writes_report_and_summary(tmp_path):
         assert (tmp_path / f"{out.stem}.summary.json").exists()
     assert all(row.nodes_off is None for row in load_report(plain).rows)
     assert all(row.nodes_off is not None for row in load_report(ab).rows)
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--sizes", "5", "--per-size", "1", "--jobs", "2", "--out", str(plain)])
+    assert exc.value.code == 2

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import itertools
+import math
 import re
 import time
 
@@ -221,6 +222,8 @@ class TestBranchAndBound:
         with pytest.raises(ValueError):
             branch_and_bound(U, SolveConfig(time_limit=0.0))
         with pytest.raises(ValueError):
+            branch_and_bound(U, SolveConfig(time_limit=math.nan))
+        with pytest.raises(ValueError):
             branch_and_bound(U, SolveConfig(node_limit=0))
         with pytest.raises(ValueError):
             branch_and_bound(U, SolveConfig(anchor_vertex=5))
@@ -363,6 +366,12 @@ class TestExportLp:
         path = tmp_path / "n12.lp"
         export_lp(interaction_matrix(generate(12, 0)), None, path)
         assert all(len(l) <= 240 for l in path.read_text().splitlines())
+
+    def test_rejects_nan_time_limit(self, tmp_path):
+        path = tmp_path / "x.lp"
+        with pytest.raises(ValueError):
+            export_lp(interaction_matrix(generate(4, 1)), SolveConfig(time_limit=math.nan), path)
+        assert not path.exists()
 
     def test_rejects_single_vertex(self, tmp_path):
         with pytest.raises(ValueError):

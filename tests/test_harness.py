@@ -1,7 +1,10 @@
 """Benchmark harness tests: suite runs, summaries, CSV stability."""
 
+import threading
+
 import pytest
 
+from bandopt import harness
 from bandopt.exact import STATUS_OPTIMAL, SolveConfig, branch_and_bound
 from bandopt.instance import generate, interaction_matrix
 from bandopt.rcm import rcm_on_instance
@@ -83,13 +86,28 @@ class TestRunSuite:
                 rb.id, rb.n, rb.seed, rb.obj_rcm, rb.opt, rb.gap_percent,
                 rb.status, rb.nodes_on, rb.nodes_off)
 
-    def test_jobs_match_serial(self):
+    def test_jobs_match_serial(self, monkeypatch):
         serial = run_suite([5, 6], per_size=2, seed0=4)
-        parallel = run_suite([5, 6], per_size=2, seed0=4, jobs=3)
-        for rs, rp in zip(serial.rows, parallel.rows):
+        threads = []
+        solve_one = harness._solve_one
+
+        def recording_solve_one(*args):
+            threads.append(threading.get_ident())
+            return solve_one(*args)
+
+        monkeypatch.setattr(harness, "_solve_one", recording_solve_one)
+        with_jobs = run_suite([5, 6], per_size=2, seed0=4, jobs=3)
+        # jobs has no effect: every solve runs on the caller's thread
+        assert threads == [threading.get_ident()] * 4
+        assert len(with_jobs.rows) == len(serial.rows)
+        for rs, rj in zip(serial.rows, with_jobs.rows):
             assert (rs.id, rs.opt, rs.gap_percent, rs.nodes_on) == (
-                rp.id, rp.opt, rp.gap_percent, rp.nodes_on
+                rj.id, rj.opt, rj.gap_percent, rj.nodes_on
             )
+
+    def test_zero_jobs_rejected(self):
+        with pytest.raises(ValueError):
+            run_suite([5], per_size=1, seed0=0, jobs=0)
 
     def test_empty_sizes_rejected(self):
         with pytest.raises(ValueError):

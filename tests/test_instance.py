@@ -63,6 +63,16 @@ class TestGenerate:
         with pytest.raises(GenerationError):
             generate(50, 0, GenParams(L=2.0))
 
+    @pytest.mark.parametrize(
+        "params",
+        [GenParams(L=math.nan), GenParams(L=math.inf), GenParams(L=10.0, r_min=math.nan)],
+    )
+    def test_non_finite_params_rejected_up_front(self, params):
+        # ValueError before any rejection sampling, not a late GenerationError
+        with pytest.raises(ValueError) as err:
+            generate(8, 0, params)
+        assert not isinstance(err.value, GenerationError)
+
     def test_too_few_sites(self):
         with pytest.raises(ValueError):
             generate(1, 0)
@@ -203,6 +213,14 @@ class TestSerialization:
         with pytest.raises(SchemaError) as err:
             from_json(json.dumps(doc))
         assert err.value.field_name == "sites"
+
+    @pytest.mark.parametrize("key", ["L", "r_min"])
+    def test_non_finite_params_named(self, key):
+        doc = json.loads(to_json(generate(4, 1)))
+        doc["params"][key] = math.nan
+        with pytest.raises(SchemaError) as err:
+            from_json(json.dumps(doc))
+        assert err.value.field_name == "params"
 
     def test_malformed_document(self):
         with pytest.raises(SchemaError):
