@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -132,50 +133,91 @@ class _Stop(Exception):
     """Internal signal: abandon the search."""
 
 
-def _branch_order(
-    u: list[list[float]], pos: list[int], placed: list[int], p: int
-) -> list[tuple[float, int, float]]:
-    """The branching rule: unplaced vertices, strongest link to the placed set first.
+def _slack(w: float, bound: float, n: int) -> int:
+    """Largest k <= n with ``w * k < bound``, tested with that float product.
 
-    A vertex's link is its largest interaction with any placed vertex (0.0
-    when nothing is placed yet); ties go to the lower index.  The same pass
-    over the placed set yields the vertex's stretch at position ``p``,
-    ``max_w u[v][w] * (p - pos[w])``.  Returns ``(-link, v, stretch)``
-    entries in branching order.
+    ``bound / w`` only seeds the answer: when the product rounds, a bare
+    ``ceil(bound / w) - 1`` can be one off, so the seed is walked to the
+    last k that passes.  Needs ``bound > 0``, hence ``w * 0 < bound``.
     """
-    scored = []
-    for v, q in enumerate(pos):
-        if q:
-            continue
-        row = u[v]
-        link = stretch = 0.0
-        for w in placed:
-            x = row[w]
-            if x > link:
-                link = x
-            s = x * (p - pos[w])
-            if s > stretch:
-                stretch = s
-        scored.append((-link, v, stretch))
-    scored.sort()
-    return scored
+    if w * n < bound:
+        return n
+    q = bound / w
+    k = int(q) if q < n else n - 1
+    while w * (k + 1) < bound:
+        k += 1
+    while w * k >= bound:
+        k -= 1
+    return k
+
+
+def _slack_table(u: list[list[float]], bound: float) -> list[list[int]]:
+    """``slack[w][x]``: how far past w's position x may sit and stay under ``bound``.
+
+    ``u[w][x] * (p - q) >= bound`` exactly when ``p > q + slack[w][x]``.
+    """
+    n = len(u)
+    return [[_slack(w, bound, n) for w in row] for row in u]
+
+
+def _by_link(link: dict[int, float]) -> list[int]:
+    """The branching rule: strongest link to the placed set first.
+
+    ``link`` maps each unplaced vertex, in ascending order, to its largest
+    interaction with any placed vertex (0.0 when nothing is placed yet).
+    The sort is stable, so ties go to the lower index.
+    """
+    return sorted(link, key=link.__getitem__, reverse=True)
 
 
 def _greedy_probe(u: list[list[float]]) -> Ordering:
     """Construct one ordering by the search's own branching rule.
 
     Starts from vertex 0 and repeatedly appends the first vertex of
-    ``_branch_order``.  Seeding the incumbent with this dive makes the
-    first feasible solution independent of the pruning configuration.
+    ``_by_link``, raising the links by the new vertex's row as the search
+    does.  Seeding the incumbent with this dive makes the first feasible
+    solution independent of the pruning configuration.
     """
     pos = [0] * len(u)
     pos[0] = 1
-    placed = [0]
+    row = u[0]
+    link = {x: row[x] for x in range(1, len(u))}
     for p in range(2, len(u) + 1):
-        v = _branch_order(u, pos, placed, p)[0][1]
+        v = _by_link(link)[0]
         pos[v] = p
-        placed.append(v)
+        row = u[v]
+        link = {x: (a if a > row[x] else row[x]) for x, a in link.items() if x != v}
     return Ordering(tuple(pos))
+
+
+def _tighten(
+    u: list[list[float]],
+    slack: list[list[int]],
+    perm: tuple[int, ...],
+    bound: float,
+    due: list[dict[int, int]],
+) -> None:
+    """Rebuild, in place, the deadlines of every level along the path ``perm``
+    after the incumbent fell to ``bound``.
+
+    From the first level whose placed prefix already reaches ``bound``, every
+    candidate is cut, so those levels get deadline 0 throughout.
+    """
+    n = len(perm)
+    at = Ordering(perm).vertex_at()
+    last = [n] * n
+    prefix = 0.0
+    for p in range(1, n):
+        w = at[p - 1]
+        row, reach = u[w], slack[w]
+        for q in range(1, p):
+            x = row[at[q - 1]] * (p - q)
+            if x > prefix:
+                prefix = x
+        level = due[p + 1]
+        for x in level:
+            last[x] = min(last[x], p + reach[x])
+            level[x] = 0 if prefix >= bound else last[x]
 
 
 def branch_and_bound(
@@ -189,11 +231,21 @@ def branch_and_bound(
     ordering when absent) and a greedy construction dive, then is
     reversal-normalized so the anchor sits in the first half of the
     positions.  Positions are then filled left to right, candidates in
-    ``_branch_order``; with symmetry breaking on, the anchor is forced into
+    ``_by_link`` order; with symmetry breaking on, the anchor is forced into
     position ``ceil(n/2)`` if it is still unplaced there.  A node is one
     candidate (vertex, position) evaluation, counted before the prune test;
     a candidate is cut when its partial objective is ``>=`` the incumbent,
     which changes only on strict improvement.
+
+    Each depth keeps two maps over the unplaced vertices, built from its
+    parent's in one pass when v is placed at p: ``link[x]`` rises to
+    ``u[v][x]`` and ``due[x]`` falls to ``p + slack[v][x]``, where
+    ``_slack_table`` makes ``u[w][x] * (p - pos[w]) >= incumbent`` exactly
+    ``p > pos[w] + slack[w][x]``.  So x is cut at p exactly when
+    ``p > due[x]``, with no pass over the placed set.  Only an improving
+    leaf costs O(n^2): it takes the objective from ``weighted_bandwidth``,
+    rebuilds the slack table and, via ``_tighten``, every live depth's
+    deadlines.
 
     Stop rules: with the lower bound on, the search ends as soon as the
     incumbent equals it, before the first node if the seed already does.
@@ -241,39 +293,53 @@ def branch_and_bound(
     nodes = 0
     timed_out = False
     pos = [0] * n
-    placed: list[int] = []
+    # due[p] maps each vertex unplaced at position p to the last position it
+    # may take under the incumbent, given the vertices at positions 1..p-1;
+    # _tighten rewrites the live depths' maps in place, so extend's alias sees it
+    due: list[dict[int, int]] = [{}] * (n + 1)
+    slack: list[list[int]] = []
 
-    def extend(p: int, partial: float) -> None:
-        nonlocal best_obj, best_perm, nodes, timed_out
-        entries = _branch_order(u, pos, placed, p)
-        if p == forced and not pos[anchor]:
-            entries = [e for e in entries if e[1] == anchor]
-        for _, v, stretch in entries:
+    def extend(p: int, link: dict[int, float]) -> None:
+        nonlocal best_obj, best_perm, slack, nodes, timed_out
+        due_p = due[p]
+        order = [anchor] if p == forced and not pos[anchor] else _by_link(link)
+        for v in order:
             nodes += 1
             if (node_limit is not None and nodes >= node_limit) or (
                 nodes & _CHECK_MASK == 0 and time.perf_counter() >= deadline
             ):
                 timed_out = True
                 raise _Stop
-            new = stretch if stretch > partial else partial
-            if new >= best_obj:
+            if p > due_p[v]:
                 continue
             pos[v] = p
             if p == n:
-                best_obj, best_perm = new, tuple(pos)
-                if use_lb and new == lower_bound:
+                best_perm = tuple(pos)
+                best_obj = weighted_bandwidth(U, Ordering(best_perm)).value
+                if use_lb and best_obj == lower_bound:
                     raise _Stop
+                slack = _slack_table(u, best_obj)
+                _tighten(u, slack, best_perm, best_obj, due)
             else:
-                placed.append(v)
-                extend(p + 1, new)
-                placed.pop()
+                row, reach = u[v], slack[v]
+                child_link, child_due = {}, {}
+                for x, a in link.items():
+                    if x != v:
+                        b = row[x]
+                        child_link[x] = a if a > b else b
+                        d, e = due_p[x], p + reach[x]
+                        child_due[x] = d if d < e else e
+                due[p + 1] = child_due
+                extend(p + 1, child_link)
             pos[v] = 0
 
     if not (use_lb and best_obj == lower_bound):
         timed_out = time.perf_counter() >= deadline
         if not timed_out:
+            slack = _slack_table(u, best_obj)
+            due[1] = dict.fromkeys(range(n), n)
             try:
-                extend(1, 0.0)
+                extend(1, dict.fromkeys(range(n), 0.0))
             except _Stop:
                 pass
     # extend reaches itself through its closure; break that cycle so the
@@ -316,7 +382,8 @@ def export_lp(
     ``bw_{v}_{w}`` row per ordered vertex pair (both orientations realize
     the absolute position difference), and, when enabled, the ``lb`` bound
     row and the ``sym`` anchor row.  Vertex v's position is written as
-    ``x_v{v}_i1 + 2 x_v{v}_i2 + ... + n x_v{v}_in``.
+    ``x_v{v}_i1 + 2 x_v{v}_i2 + ... + n x_v{v}_in``.  Rows are written as
+    they are built, so no copy of the whole model (6.5 MB at n = 60) is held.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -324,6 +391,13 @@ def export_lp(
     if n < 2:
         raise ValueError("LP export needs at least 2 vertices")
     _validate_config(n, cfg)
+    with Path(path).open("w", encoding="utf-8") as f:
+        f.writelines(f"{row}\n" for row in _lp_rows(U, cfg))
+
+
+def _lp_rows(U: InteractionMatrix, cfg: SolveConfig) -> Iterator[str]:
+    """The lines of ``export_lp``'s model, in file order."""
+    n = U.n
     anchor = cfg.anchor_vertex if cfg.anchor_vertex is not None else default_anchor(U)
     u = U.u.tolist()
 
@@ -332,23 +406,22 @@ def export_lp(
     plus = ["+ " + " + ".join(terms) for terms in position]
     minus = ["- " + " - ".join(terms) for terms in position]
 
-    rows = [f"\\ weighted bandwidth minimization over {n} sites"]
-    rows += ["Minimize", " obj: b", "Subject To"]
+    yield f"\\ weighted bandwidth minimization over {n} sites"
+    yield from ("Minimize", " obj: b", "Subject To")
     for i, column in enumerate(zip(*x), 1):
-        rows.extend(_wrap_row(f" pos{i}: {' + '.join(column)} = 1"))
+        yield from _wrap_row(f" pos{i}: {' + '.join(column)} = 1")
     for v in range(n):
-        rows.extend(_wrap_row(f" vtx{v}: {' + '.join(x[v])} = 1"))
+        yield from _wrap_row(f" vtx{v}: {' + '.join(x[v])} = 1")
     for v, w in permutations(range(n), 2):
-        rows.extend(_wrap_row(f" bw_{v}_{w}: {plus[v]} {minus[w]} - {1.0 / u[v][w]!r} b <= 0"))
+        yield from _wrap_row(f" bw_{v}_{w}: {plus[v]} {minus[w]} - {1.0 / u[v][w]!r} b <= 0")
     if cfg.use_lower_bound:
-        rows.append(f" lb: b >= {theoretical_lower_bound(U)!r}")
+        yield f" lb: b >= {theoretical_lower_bound(U)!r}"
     if cfg.use_symmetry_breaking:
-        rows.extend(_wrap_row(f" sym: {' + '.join(position[anchor])} <= {(n + 1) // 2}"))
-    rows += ["Bounds", " b >= 0", "Binaries"]
+        yield from _wrap_row(f" sym: {' + '.join(position[anchor])} <= {(n + 1) // 2}")
+    yield from ("Bounds", " b >= 0", "Binaries")
     binaries = [name for row in x for name in row]
-    rows.extend(" " + " ".join(binaries[k : k + 8]) for k in range(0, len(binaries), 8))
-    rows.append("End")
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    yield from (" " + " ".join(binaries[k : k + 8]) for k in range(0, len(binaries), 8))
+    yield "End"
 
 
 def result_to_json(result: SolveResult) -> str:

@@ -281,7 +281,10 @@ def _require(doc: dict, key: str, kind: type, where: str = "instance") -> object
     if kind is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise SchemaError(key, f'field "{key}" must be a number')
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # a JSON integer beyond the float range
+            raise SchemaError(key, f'field "{key}" is too large for a float') from None
     if not isinstance(value, kind) or isinstance(value, bool):
         raise SchemaError(key, f'field "{key}" must be of type {kind.__name__}')
     return value
@@ -295,7 +298,7 @@ def from_json(text: str) -> Instance:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise SchemaError("document", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("document", "top-level value must be an object")
@@ -327,7 +330,10 @@ def from_json(text: str) -> Instance:
             or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in entry)
         ):
             raise SchemaError("sites", f"sites[{idx}] must be a pair of numbers")
-        x, y = float(entry[0]), float(entry[1])
+        try:
+            x, y = float(entry[0]), float(entry[1])
+        except OverflowError:  # a JSON integer beyond the float range
+            raise SchemaError("sites", f"sites[{idx}] has a coordinate too large for a float") from None
         if not (math.isfinite(x) and math.isfinite(y)):
             raise SchemaError("sites", f"sites[{idx}] has a non-finite coordinate")
         sites.append((x, y))

@@ -1,11 +1,21 @@
 """Command line tests: exit codes and error reporting."""
 
+import json
+
 import pytest
 
 from bandopt.cli import main
 from bandopt.exact import export_lp
 from bandopt.harness import load_report, report_to_csv
-from bandopt.instance import GenParams, Instance, generate, interaction_matrix, load, save
+from bandopt.instance import (
+    GenParams,
+    Instance,
+    generate,
+    interaction_matrix,
+    load,
+    save,
+    to_json,
+)
 
 
 @pytest.mark.parametrize("gap", [1e-60, 1e60])
@@ -22,6 +32,16 @@ def test_solve_rejects_out_of_range_weights(tmp_path, capsys, gap):
     out = tmp_path / "result.json"
     assert main(["solve", "--instance", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("bandopt: ")
+    assert not out.exists()
+
+
+def test_rcm_rejects_oversized_param(tmp_path, capsys):
+    path, out = tmp_path / "inst.json", tmp_path / "order.json"
+    doc = json.loads(to_json(generate(6, 1)))
+    doc["params"]["L"] = 10**400  # a JSON integer too large for a float
+    path.write_text(json.dumps(doc))
+    assert main(["rcm", "--instance", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith('bandopt: field "L"')
     assert not out.exists()
 
 

@@ -15,6 +15,7 @@ from bandopt.exact import (
     STATUS_OPTIMAL,
     STATUS_TIMEOUT,
     SolveConfig,
+    _slack_table,
     branch_and_bound,
     brute_force,
     default_anchor,
@@ -318,6 +319,146 @@ class TestDifferentialOracle:
                 assert res.objective >= optimum
                 if res.status == STATUS_OPTIMAL:
                     assert res.objective == optimum
+
+
+def _slack_by_definition(w, bound, n):
+    return max(k for k in range(n + 1) if w * k < bound)
+
+
+class TestSlackTable:
+    # tie-heavy weights; for 0.1*k, 0.3 and 0.7 the product w*k rounds, so a
+    # bound equal to w*k can divide back to slightly more than k
+    TIED = (1.0, 2.0, 3.0, 0.3, 0.7, 1.1) + tuple(0.1 * k for k in range(1, 8))
+
+    def test_matches_definition_on_tied_weights(self):
+        u = [list(self.TIED)] * len(self.TIED)
+        n = len(u)
+        for w in self.TIED:
+            for k in range(1, n + 1):
+                for bound in (w * k, math.nextafter(w * k, 0.0), math.nextafter(w * k, math.inf)):
+                    expected = [_slack_by_definition(x, bound, n) for x in self.TIED]
+                    assert _slack_table(u, bound) == [expected] * n
+
+    def test_bound_equal_to_a_product(self):
+        # 0.1 * 3 == 0.30000000000000004, and that divided by 0.1 exceeds 3,
+        # so ceil(bound / w) - 1 gives 3 where the largest k with w*k < bound is 2
+        bound = 0.1 * 3
+        assert math.ceil(bound / 0.1) - 1 == 3
+        assert _slack_table([[0.0, 0.1], [0.1, 0.0]], bound) == [[2, 2], [2, 2]]
+
+    def test_zero_diagonal_and_far_bound(self):
+        assert _slack_table([[0.0, 1.0], [1.0, 0.0]], 10.0) == [[2, 2], [2, 2]]
+        assert _slack_table([[0.0, 5.0], [5.0, 0.0]], 5.0) == [[2, 0], [0, 2]]
+
+
+def _reference_branch_order(u, pos, placed, p):
+    """The branching rule as a scan of the placed set per candidate."""
+    scored = []
+    for v, q in enumerate(pos):
+        if q:
+            continue
+        link = stretch = 0.0
+        for w in placed:
+            link = max(link, u[v][w])
+            stretch = max(stretch, u[v][w] * (p - pos[w]))
+        scored.append((-link, v, stretch))
+    return sorted(scored)
+
+
+def _reference_solve(U, cfg, warm_start):
+    """The search with the placed-set scan: (objective, status, nodes, perm).
+
+    The same-tree reference for ``branch_and_bound``: seed, probe, candidate
+    order, cuts and node counting, without the time limit.
+    """
+    n, u = U.n, U.u.tolist()
+    lower_bound = theoretical_lower_bound(U)
+    anchor = default_anchor(U) if cfg.anchor_vertex is None else cfg.anchor_vertex
+    pos, placed = [1] + [0] * (n - 1), [0]
+    for p in range(2, n + 1):
+        v = _reference_branch_order(u, pos, placed, p)[0][1]
+        pos[v] = p
+        placed.append(v)
+    seed = warm_start or Ordering.identity(n)
+    probe = Ordering(tuple(pos))
+    if weighted_bandwidth(U, probe).value < weighted_bandwidth(U, seed).value:
+        seed = probe
+    if seed.perm[anchor] > (n + 1) // 2:
+        seed = seed.reversed()
+    forced = (n + 1) // 2 if cfg.use_symmetry_breaking else 0
+    state = {"obj": weighted_bandwidth(U, seed).value, "perm": seed.perm, "nodes": 0}
+    pos, placed = [0] * n, []
+
+    def extend(p, partial):
+        entries = _reference_branch_order(u, pos, placed, p)
+        if p == forced and not pos[anchor]:
+            entries = [e for e in entries if e[1] == anchor]
+        for _, v, stretch in entries:
+            state["nodes"] += 1
+            if cfg.node_limit is not None and state["nodes"] >= cfg.node_limit:
+                return STATUS_TIMEOUT
+            new = max(stretch, partial)
+            if new >= state["obj"]:
+                continue
+            pos[v] = p
+            if p == n:
+                state["obj"], state["perm"] = new, tuple(pos)
+                if cfg.use_lower_bound and new == lower_bound:
+                    return STATUS_OPTIMAL
+            else:
+                placed.append(v)
+                stop = extend(p + 1, new)
+                placed.pop()
+                if stop:
+                    return stop
+            pos[v] = 0
+        return None
+
+    status = STATUS_OPTIMAL
+    if not (cfg.use_lower_bound and state["obj"] == lower_bound):
+        status = extend(1, 0.0) or STATUS_OPTIMAL
+    return state["obj"], status, state["nodes"], state["perm"]
+
+
+@st.composite
+def _search_cases(draw):
+    """Tie-heavy or log-normal weights with any toggles, anchor, warm start and node limit."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["1-3", "0.3/0.7/1.1", "0.1k", "lognormal"]))
+    if kind == "1-3":
+        w = rng.integers(1, 4, size=(n, n)).astype(float)
+    elif kind == "0.3/0.7/1.1":
+        w = rng.choice([0.3, 0.7, 1.1], size=(n, n))
+    elif kind == "0.1k":
+        w = 0.1 * rng.integers(1, 8, size=(n, n))
+    else:
+        w = rng.lognormal(0.0, 1.5, size=(n, n))
+    w = np.triu(w, 1)
+    U = InteractionMatrix.from_array(w + w.T)
+    # unlimited searches stay at n <= 7 to keep the test fast; the node
+    # limits still walk the start of every n = 8-9 tree
+    limits = st.integers(min_value=1, max_value=400)
+    cfg = SolveConfig(
+        use_lower_bound=draw(st.booleans()),
+        use_symmetry_breaking=draw(st.booleans()),
+        node_limit=draw(st.none() | limits if n <= 7 else limits),
+        anchor_vertex=draw(st.none() | st.integers(min_value=0, max_value=n - 1)),
+    )
+    warm = None
+    if draw(st.booleans()):
+        warm = Ordering(tuple(int(p) + 1 for p in rng.permutation(n)))
+    return U, cfg, warm
+
+
+class TestSameTree:
+    @settings(max_examples=400, deadline=None)
+    @given(_search_cases())
+    def test_matches_placed_set_scan(self, case):
+        U, cfg, warm = case
+        res = branch_and_bound(U, cfg, warm_start=warm)
+        got = (res.objective, res.status, res.nodes_explored, res.ordering.perm)
+        assert got == _reference_solve(U, cfg, warm)
 
 
 class TestExportLp:

@@ -222,6 +222,24 @@ class TestSerialization:
             from_json(json.dumps(doc))
         assert err.value.field_name == "params"
 
+    @pytest.mark.parametrize("key,field", [("L", "L"), ("r_min", "r_min"), ("site", "sites")])
+    def test_oversized_integer_named(self, key, field):
+        # 401 digits parse as a Python int that float() cannot hold
+        doc = json.loads(to_json(generate(4, 1)))
+        if key == "site":
+            doc["sites"][2][1] = 10**400
+        else:
+            doc["params"][key] = 10**400
+        with pytest.raises(SchemaError) as err:
+            from_json(json.dumps(doc))
+        assert err.value.field_name == field
+
+    def test_integer_past_digit_limit_is_schema_error(self):
+        text = to_json(generate(4, 1)).replace('"seed":1,', '"seed":' + "9" * 5000 + ",")
+        with pytest.raises(SchemaError) as err:
+            from_json(text)
+        assert err.value.field_name == "document"
+
     def test_malformed_document(self):
         with pytest.raises(SchemaError):
             from_json("{not json")
