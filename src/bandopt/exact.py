@@ -8,7 +8,7 @@ integer linear program in LP text format for external solvers.
 
 from __future__ import annotations
 
-import json
+import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .instance import InteractionMatrix
-from .metrics import Ordering, weighted_bandwidth
+from .instance import InteractionMatrix, SchemaError, _dump_doc, _parse_doc, _require
+from .metrics import Ordering, _ordering_field, weighted_bandwidth
 
 SCHEMA_RESULT = "bandopt-result/1"
 
@@ -190,34 +190,20 @@ def _greedy_probe(u: list[list[float]]) -> Ordering:
     return Ordering(tuple(pos))
 
 
-def _tighten(
-    u: list[list[float]],
-    slack: list[list[int]],
-    perm: tuple[int, ...],
-    bound: float,
-    due: list[dict[int, int]],
-) -> None:
-    """Rebuild, in place, the deadlines of every level along the path ``perm``
-    after the incumbent fell to ``bound``.
+def _tighten(slack: list[list[int]], at: tuple[int, ...], due: list[dict[int, int]]) -> None:
+    """Rebuild, in place, the deadlines of every depth along the path ``at``
+    (``at[p-1]`` sits at position p) under the new ``slack`` table.
 
-    From the first level whose placed prefix already reaches ``bound``, every
-    candidate is cut, so those levels get deadline 0 throughout.
+    This replays the search's own recurrence from depth 1 down, except that
+    a depth whose vertex misses its new deadline closes every deeper depth:
+    they get deadline 0 throughout, and a deadline of 0 carries down.
     """
-    n = len(perm)
-    at = Ordering(perm).vertex_at()
-    last = [n] * n
-    prefix = 0.0
-    for p in range(1, n):
-        w = at[p - 1]
-        row, reach = u[w], slack[w]
-        for q in range(1, p):
-            x = row[at[q - 1]] * (p - q)
-            if x > prefix:
-                prefix = x
-        level = due[p + 1]
+    for p in range(1, len(at)):
+        v = at[p - 1]
+        above, reach, level = due[p], slack[v], due[p + 1]
+        closed = p > above[v]
         for x in level:
-            last[x] = min(last[x], p + reach[x])
-            level[x] = 0 if prefix >= bound else last[x]
+            level[x] = 0 if closed else min(above[x], p + reach[x])
 
 
 def branch_and_bound(
@@ -245,7 +231,8 @@ def branch_and_bound(
     ``p > due[x]``, with no pass over the placed set.  Only an improving
     leaf costs O(n^2): it takes the objective from ``weighted_bandwidth``,
     rebuilds the slack table and, via ``_tighten``, every live depth's
-    deadlines.
+    deadlines; a depth whose vertex misses its new deadline closes every
+    deeper depth.
 
     Stop rules: with the lower bound on, the search ends as soon as the
     incumbent equals it, before the first node if the seed already does.
@@ -289,7 +276,7 @@ def branch_and_bound(
     forced = (n + 1) // 2 if cfg.use_symmetry_breaking else 0  # 0: no forced position
     node_limit = cfg.node_limit
     deadline = t0 + cfg.time_limit
-    best_obj, best_perm = seed_objective, seed.perm
+    best_obj, best = seed_objective, seed
     nodes = 0
     timed_out = False
     pos = [0] * n
@@ -300,7 +287,7 @@ def branch_and_bound(
     slack: list[list[int]] = []
 
     def extend(p: int, link: dict[int, float]) -> None:
-        nonlocal best_obj, best_perm, slack, nodes, timed_out
+        nonlocal best_obj, best, slack, nodes, timed_out
         due_p = due[p]
         order = [anchor] if p == forced and not pos[anchor] else _by_link(link)
         for v in order:
@@ -314,12 +301,12 @@ def branch_and_bound(
                 continue
             pos[v] = p
             if p == n:
-                best_perm = tuple(pos)
-                best_obj = weighted_bandwidth(U, Ordering(best_perm)).value
+                best = Ordering(tuple(pos))
+                best_obj = weighted_bandwidth(U, best).value
                 if use_lb and best_obj == lower_bound:
                     raise _Stop
                 slack = _slack_table(u, best_obj)
-                _tighten(u, slack, best_perm, best_obj, due)
+                _tighten(slack, best.vertex_at(), due)
             else:
                 row, reach = u[v], slack[v]
                 child_link, child_due = {}, {}
@@ -347,7 +334,7 @@ def branch_and_bound(
     del extend
 
     return SolveResult(
-        ordering=Ordering(best_perm),
+        ordering=best,
         objective=best_obj,
         lower_bound=lower_bound,
         status=STATUS_TIMEOUT if timed_out else STATUS_OPTIMAL,
@@ -425,29 +412,47 @@ def _lp_rows(U: InteractionMatrix, cfg: SolveConfig) -> Iterator[str]:
 
 
 def result_to_json(result: SolveResult) -> str:
-    doc = {
-        "schema": SCHEMA_RESULT,
-        "objective": result.objective,
-        "lower_bound": result.lower_bound,
-        "status": result.status,
-        "nodes": result.nodes_explored,
-        "wall_time_s": result.wall_time,
-        "ordering": list(result.ordering.perm),
-    }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    return _dump_doc(
+        SCHEMA_RESULT,
+        objective=result.objective,
+        lower_bound=result.lower_bound,
+        status=result.status,
+        nodes=result.nodes_explored,
+        wall_time_s=result.wall_time,
+        ordering=list(result.ordering.perm),
+    )
 
 
 def result_from_json(text: str) -> SolveResult:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_RESULT:
-        raise ValueError(f'expected an object with schema "{SCHEMA_RESULT}"')
+    """Parse a result document; SchemaError names the violated field.
+
+    Accepts only what a solve can return: ``0 <= lower_bound <= objective``
+    with a finite objective, a known status, ``nodes >= 0`` and a finite
+    ``wall_time_s >= 0``.
+    """
+    doc = _parse_doc(text, SCHEMA_RESULT)
+    objective = _require(doc, "objective", float, SCHEMA_RESULT)
+    if not 0 <= objective < math.inf:
+        raise SchemaError("objective", f"objective must be finite and >= 0, got {objective}")
+    lower_bound = _require(doc, "lower_bound", float, SCHEMA_RESULT)
+    if not 0 <= lower_bound <= objective:
+        raise SchemaError("lower_bound", f"lower_bound must lie in [0, objective], got {lower_bound}")
+    status = _require(doc, "status", str, SCHEMA_RESULT)
+    if status not in (STATUS_OPTIMAL, STATUS_TIMEOUT):
+        raise SchemaError("status", f'unknown status "{status}"')
+    nodes = _require(doc, "nodes", int, SCHEMA_RESULT)
+    if nodes < 0:
+        raise SchemaError("nodes", f"nodes must be >= 0, got {nodes}")
+    wall_time = _require(doc, "wall_time_s", float, SCHEMA_RESULT)
+    if not 0 <= wall_time < math.inf:
+        raise SchemaError("wall_time_s", f"wall_time_s must be finite and >= 0, got {wall_time}")
     return SolveResult(
-        ordering=Ordering(tuple(int(p) for p in doc["ordering"])),
-        objective=float(doc["objective"]),
-        lower_bound=float(doc["lower_bound"]),
-        status=str(doc["status"]),
-        nodes_explored=int(doc["nodes"]),
-        wall_time=float(doc["wall_time_s"]),
+        ordering=_ordering_field(doc, "ordering", SCHEMA_RESULT),
+        objective=objective,
+        lower_bound=lower_bound,
+        status=status,
+        nodes_explored=nodes,
+        wall_time=wall_time,
     )
 
 

@@ -35,7 +35,7 @@ class GenerationError(RuntimeError):
 
 
 class SchemaError(ValueError):
-    """An instance file violates the on-disk schema.
+    """An instance, ordering or result document violates its schema.
 
     The offending field is available as ``field_name``.
     """
@@ -259,22 +259,41 @@ def interaction_matrix(inst: Instance) -> InteractionMatrix:
 
 def to_json(inst: Instance) -> str:
     """Serialize with stable key order; identical instances give identical bytes."""
-    doc = {
-        "schema": SCHEMA_INSTANCE,
-        "id": inst.id,
-        "seed": inst.seed,
-        "params": {"L": inst.params.L, "r_min": inst.params.r_min},
-        "sites": [[x, y] for x, y in inst.sites],
-        "bonds": [[i, j] for i, j in sorted(inst.bonds)],
-    }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    return _dump_doc(
+        SCHEMA_INSTANCE,
+        id=inst.id,
+        seed=inst.seed,
+        params={"L": inst.params.L, "r_min": inst.params.r_min},
+        sites=[[x, y] for x, y in inst.sites],
+        bonds=[[i, j] for i, j in sorted(inst.bonds)],
+    )
 
 
 def save(inst: Instance, path: str | Path) -> None:
     Path(path).write_text(to_json(inst), encoding="utf-8")
 
 
-def _require(doc: dict, key: str, kind: type, where: str = "instance") -> object:
+def _dump_doc(schema: str, **fields: object) -> str:
+    """The one document writer: compact JSON, the ``schema`` tag first, a newline."""
+    return json.dumps({"schema": schema, **fields}, separators=(",", ":")) + "\n"
+
+
+def _parse_doc(text: str, schema: str) -> dict:
+    """The one document reader: a JSON object tagged ``schema``, else SchemaError."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too many digits, too deep
+        raise SchemaError("document", f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError("document", "top-level value must be an object")
+    tag = _require(doc, "schema", str, schema)
+    if tag != schema:
+        raise SchemaError("schema", f'unsupported schema "{tag}", expected "{schema}"')
+    return doc
+
+
+def _require(doc: dict, key: str, kind: type, where: str) -> object:
+    """``doc[key]`` as ``kind``, never a bool; ``where`` names the enclosing document."""
     if key not in doc:
         raise SchemaError(key, f'missing required field "{key}" in {where}')
     value = doc[key]
@@ -296,30 +315,19 @@ def from_json(text: str) -> Instance:
     Raises SchemaError naming the violated field, or CoincidentSitesError
     when two parsed coordinates coincide.
     """
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-        raise SchemaError("document", f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("document", "top-level value must be an object")
-
-    schema = _require(doc, "schema", str)
-    if schema != SCHEMA_INSTANCE:
-        raise SchemaError(
-            "schema", f'unsupported schema "{schema}", expected "{SCHEMA_INSTANCE}"'
-        )
-    inst_id = _require(doc, "id", str)
-    seed = _require(doc, "seed", int)
+    doc = _parse_doc(text, SCHEMA_INSTANCE)
+    inst_id = _require(doc, "id", str, SCHEMA_INSTANCE)
+    seed = _require(doc, "seed", int, SCHEMA_INSTANCE)
     if not 0 <= seed < 2**64:
         raise SchemaError("seed", f"seed {seed} is not a 64-bit unsigned integer")
 
-    raw_params = _require(doc, "params", dict)
-    L = _require(raw_params, "L", float, where="params")
-    r_min = _require(raw_params, "r_min", float, where="params")
+    raw_params = _require(doc, "params", dict, SCHEMA_INSTANCE)
+    L = _require(raw_params, "L", float, "params")
+    r_min = _require(raw_params, "r_min", float, "params")
     if not (0 < L < math.inf and 0 < r_min < math.inf):
         raise SchemaError("params", "params.L and params.r_min must be positive and finite")
 
-    raw_sites = _require(doc, "sites", list)
+    raw_sites = _require(doc, "sites", list, SCHEMA_INSTANCE)
     if not raw_sites:
         raise SchemaError("sites", '"sites" must be a non-empty list')
     sites: list[tuple[float, float]] = []
@@ -343,7 +351,7 @@ def from_json(text: str) -> Instance:
     if repeats:
         raise CoincidentSitesError(*min(repeats))  # lexicographically first (i, j)
 
-    raw_bonds = _require(doc, "bonds", list)
+    raw_bonds = _require(doc, "bonds", list, SCHEMA_INSTANCE)
     bonds: set[tuple[int, int]] = set()
     for idx, entry in enumerate(raw_bonds):
         if (

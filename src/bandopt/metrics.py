@@ -6,14 +6,13 @@ vertex v (0-based index) to a position in {1..n}.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .instance import InteractionMatrix
+from .instance import InteractionMatrix, SchemaError, _dump_doc, _parse_doc, _require
 
 SCHEMA_ORDERING = "bandopt-ordering/1"
 
@@ -28,7 +27,7 @@ class Ordering:
         n = len(self.perm)
         if n == 0:
             raise ValueError("ordering must cover at least one vertex")
-        if any(not isinstance(p, int) for p in self.perm) or sorted(self.perm) != list(
+        if any(type(p) is not int for p in self.perm) or sorted(self.perm) != list(
             range(1, n + 1)
         ):
             raise ValueError(f"perm must be a bijection onto 1..{n}, got {self.perm}")
@@ -117,18 +116,21 @@ def rcm_gap(obj_rcm: float, opt: float) -> float:
 
 
 def ordering_to_json(ordering: Ordering) -> str:
-    doc = {"schema": SCHEMA_ORDERING, "perm": list(ordering.perm)}
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    return _dump_doc(SCHEMA_ORDERING, perm=list(ordering.perm))
+
+
+def _ordering_field(doc: dict, key: str, where: str) -> Ordering:
+    """The positions check: ``doc[key]`` as an Ordering, else SchemaError(key)."""
+    perm = _require(doc, key, list, where)
+    try:
+        return Ordering(tuple(perm))
+    except ValueError as exc:  # not ints, or not a bijection onto 1..n
+        raise SchemaError(key, f'field "{key}": {exc}') from None
 
 
 def ordering_from_json(text: str) -> Ordering:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_ORDERING:
-        raise ValueError(f'expected an object with schema "{SCHEMA_ORDERING}"')
-    perm = doc.get("perm")
-    if not isinstance(perm, list):
-        raise ValueError('field "perm" must be a list of positions')
-    return Ordering(tuple(int(p) for p in perm))
+    """Parse an ordering document; SchemaError names the violated field."""
+    return _ordering_field(_parse_doc(text, SCHEMA_ORDERING), "perm", SCHEMA_ORDERING)
 
 
 def save_ordering(ordering: Ordering, path: str | Path) -> None:

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import itertools
+import json
 import math
 import re
 import time
@@ -22,10 +23,11 @@ from bandopt.exact import (
     export_lp,
     load_result,
     result_from_json,
+    result_to_json,
     save_result,
     theoretical_lower_bound,
 )
-from bandopt.instance import InteractionMatrix, generate, interaction_matrix
+from bandopt.instance import InteractionMatrix, SchemaError, generate, interaction_matrix
 from bandopt.metrics import Ordering, weighted_bandwidth
 from bandopt.rcm import rcm_on_instance
 
@@ -579,7 +581,57 @@ class TestResultSerialization:
         assert back.ordering == res.ordering
         assert back.status == res.status
         assert back.nodes_explored == res.nodes_explored
+        assert result_to_json(back) == result_to_json(res)
 
-    def test_schema_guard(self):
-        with pytest.raises(ValueError):
-            result_from_json('{"schema":"other/9"}')
+    @pytest.mark.parametrize(
+        "edit,field",
+        [
+            ({"schema": "other/9"}, "schema"),
+            ("{not json", "document"),
+            ("[]", "document"),
+            ({"objective": None}, "objective"),
+            ({"ordering": None}, "ordering"),
+            ({"nodes": "7"}, "nodes"),
+            ({"nodes": 7.0}, "nodes"),
+            ({"nodes": True}, "nodes"),
+            ({"nodes": -1}, "nodes"),
+            ({"objective": math.inf}, "objective"),
+            ({"objective": math.nan}, "objective"),
+            ({"objective": "1.5"}, "objective"),
+            ({"lower_bound": 2.0}, "lower_bound"),
+            ({"lower_bound": -0.5}, "lower_bound"),
+            ({"status": "banana"}, "status"),
+            ({"wall_time_s": math.inf}, "wall_time_s"),
+            ({"wall_time_s": -1.0}, "wall_time_s"),
+            ({"ordering": [2.9, 1.2, 3]}, "ordering"),
+            ({"ordering": [True, 2, 3]}, "ordering"),
+            ({"ordering": [1, 1, 3]}, "ordering"),
+        ],
+        ids=[
+            "wrong-tag", "invalid-json", "not-an-object", "missing-objective",
+            "missing-ordering", "string-nodes", "float-nodes", "bool-nodes",
+            "negative-nodes", "infinite-objective", "nan-objective", "string-objective",
+            "bound-above-objective", "negative-bound", "unknown-status",
+            "infinite-wall-time", "negative-wall-time", "float-positions",
+            "bool-position", "non-bijection",
+        ],
+    )
+    def test_schema_guard(self, edit, field):
+        """Each case edits one field of a valid result document; None deletes it."""
+        if isinstance(edit, str):
+            text = edit
+        else:
+            doc = {
+                "schema": "bandopt-result/1",
+                "objective": 1.5,
+                "lower_bound": 1.0,
+                "status": STATUS_OPTIMAL,
+                "nodes": 7,
+                "wall_time_s": 0.25,
+                "ordering": [2, 1, 3],
+            }
+            doc.update(edit)
+            text = json.dumps({k: v for k, v in doc.items() if v is not None})
+        with pytest.raises(SchemaError) as err:
+            result_from_json(text)
+        assert err.value.field_name == field

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandopt.instance import InteractionMatrix, generate, interaction_matrix
+from bandopt.instance import InteractionMatrix, SchemaError, generate, interaction_matrix
 from bandopt.metrics import (
     Ordering,
     classic_bandwidth,
@@ -94,6 +94,11 @@ class TestOrdering:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Ordering((0, 1, 2))
+
+    def test_rejects_bool_positions(self):
+        # True == 1, so only a type check tells (True, 2) from (1, 2)
+        with pytest.raises(ValueError):
+            Ordering((True, 2))
 
     def test_reversed(self):
         assert Ordering((1, 3, 2)).reversed().perm == (3, 1, 2)
@@ -222,6 +227,30 @@ class TestOrderingSerialization:
         o = Ordering((4, 1, 3, 2))
         assert ordering_to_json(ordering_from_json(ordering_to_json(o))) == ordering_to_json(o)
 
-    def test_schema_guard(self):
-        with pytest.raises(ValueError):
-            ordering_from_json('{"schema":"other/1","perm":[1]}')
+    @pytest.mark.parametrize(
+        "text,field",
+        [
+            ('{"schema":"other/1","perm":[1]}', "schema"),
+            ('{"schema":"bandopt-ordering/1","perm":[1,2', "document"),
+            ('[1,2]', "document"),
+            ("[" * 100_000, "document"),
+            ('{"perm":[1]}', "schema"),
+            ('{"schema":"bandopt-ordering/1"}', "perm"),
+            ('{"schema":"bandopt-ordering/1","perm":[2.9,1.2]}', "perm"),
+            ('{"schema":"bandopt-ordering/1","perm":[2.0,1.0]}', "perm"),
+            ('{"schema":"bandopt-ordering/1","perm":[true,2]}', "perm"),
+            ('{"schema":"bandopt-ordering/1","perm":["1","2"]}', "perm"),
+            ('{"schema":"bandopt-ordering/1","perm":[1,1]}', "perm"),
+            ('{"schema":"bandopt-ordering/1","perm":[]}', "perm"),
+            ('{"schema":"bandopt-ordering/1","perm":"12"}', "perm"),
+        ],
+        ids=[
+            "wrong-tag", "invalid-json", "not-an-object", "deep-nesting", "no-tag", "missing-perm",
+            "float-positions", "integral-floats", "bool-position", "string-positions",
+            "non-bijection", "empty", "perm-not-a-list",
+        ],
+    )
+    def test_schema_guard(self, text, field):
+        with pytest.raises(SchemaError) as err:
+            ordering_from_json(text)
+        assert err.value.field_name == field
