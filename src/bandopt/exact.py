@@ -38,7 +38,9 @@ class SolveConfig:
     the incumbent matches it; ``use_symmetry_breaking`` confines the anchor
     vertex to the first half of the positions.  ``anchor_vertex`` of None
     picks the vertex with the largest interaction row sum.  Node counts are
-    reproducible for every configuration.
+    reproducible for every configuration.  Construction checks
+    ``time_limit > 0`` and ``node_limit >= 1``; the anchor's range depends
+    on the matrix, so ``_anchor`` checks it.
     """
 
     use_lower_bound: bool = True
@@ -47,10 +49,22 @@ class SolveConfig:
     node_limit: int | None = None
     anchor_vertex: int | None = None
 
+    def __post_init__(self):
+        if not self.time_limit > 0:  # also rejects NaN, which no deadline would ever reach
+            raise ValueError(f"time_limit must be positive, got {self.time_limit}")
+        if self.node_limit is not None and self.node_limit < 1:
+            raise ValueError(f"node_limit must be at least 1, got {self.node_limit}")
+
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of an exact solve (or of the oracle enumeration)."""
+    """Outcome of an exact solve (or of the oracle enumeration).
+
+    Construction checks the certificate: ``0 <= lower_bound <= objective``
+    with a finite objective, a known status, ``nodes_explored >= 0`` and a
+    finite ``wall_time >= 0``.  A violation raises SchemaError naming the
+    field as the result document spells it.
+    """
 
     ordering: Ordering
     objective: float
@@ -59,14 +73,21 @@ class SolveResult:
     nodes_explored: int
     wall_time: float
 
-
-def _validate_config(n: int, cfg: SolveConfig) -> None:
-    if not cfg.time_limit > 0:  # also rejects NaN, which no deadline would ever reach
-        raise ValueError(f"time_limit must be positive, got {cfg.time_limit}")
-    if cfg.node_limit is not None and cfg.node_limit < 1:
-        raise ValueError(f"node_limit must be at least 1, got {cfg.node_limit}")
-    if cfg.anchor_vertex is not None and not 0 <= cfg.anchor_vertex < n:
-        raise ValueError(f"anchor_vertex {cfg.anchor_vertex} outside 0..{n - 1}")
+    def __post_init__(self):
+        if not 0 <= self.objective < math.inf:
+            raise SchemaError("objective", f"objective must be finite and >= 0, got {self.objective}")
+        if not 0 <= self.lower_bound <= self.objective:
+            raise SchemaError(
+                "lower_bound", f"lower_bound must lie in [0, objective], got {self.lower_bound}"
+            )
+        if self.status not in (STATUS_OPTIMAL, STATUS_TIMEOUT):
+            raise SchemaError("status", f'unknown status "{self.status}"')
+        if self.nodes_explored < 0:
+            raise SchemaError("nodes", f"nodes must be >= 0, got {self.nodes_explored}")
+        if not 0 <= self.wall_time < math.inf:
+            raise SchemaError(
+                "wall_time_s", f"wall_time_s must be finite and >= 0, got {self.wall_time}"
+            )
 
 
 def theoretical_lower_bound(U: InteractionMatrix) -> float:
@@ -79,6 +100,15 @@ def theoretical_lower_bound(U: InteractionMatrix) -> float:
 def default_anchor(U: InteractionMatrix) -> int:
     """Vertex with the largest interaction row sum, ties by lowest index."""
     return int(np.argmax(U.u.sum(axis=1)))
+
+
+def _anchor(U: InteractionMatrix, cfg: SolveConfig) -> int:
+    """The anchor rule: ``cfg.anchor_vertex`` if set and in range, else ``default_anchor``."""
+    if cfg.anchor_vertex is None:
+        return default_anchor(U)
+    if not 0 <= cfg.anchor_vertex < U.n:
+        raise ValueError(f"anchor_vertex {cfg.anchor_vertex} outside 0..{U.n - 1}")
+    return cfg.anchor_vertex
 
 
 @lru_cache(maxsize=4)
@@ -96,8 +126,6 @@ def brute_force(U: InteractionMatrix) -> SolveResult:
     n > 10 outright (factorial enumeration).
     """
     n = U.n
-    if n < 1:
-        raise ValueError("matrix must cover at least one vertex")
     if n > _BRUTE_FORCE_MAX_N:
         raise ValueError(
             f"brute force enumerates n! orderings; refusing n={n} > {_BRUTE_FORCE_MAX_N}"
@@ -243,10 +271,8 @@ def branch_and_bound(
     if cfg is None:
         cfg = SolveConfig()
     n = U.n
-    if n < 1:
-        raise ValueError("matrix must cover at least one vertex")
-    _validate_config(n, cfg)
     t0 = time.perf_counter()
+    anchor = _anchor(U, cfg)
     if n == 1:
         return SolveResult(
             ordering=Ordering.identity(1),
@@ -258,7 +284,6 @@ def branch_and_bound(
         )
 
     lower_bound = theoretical_lower_bound(U)
-    anchor = cfg.anchor_vertex if cfg.anchor_vertex is not None else default_anchor(U)
     seed = warm_start if warm_start is not None else Ordering.identity(n)
     if seed.n != n:
         raise ValueError(f"warm start covers {seed.n} vertices, matrix has {n}")
@@ -374,18 +399,16 @@ def export_lp(
     """
     if cfg is None:
         cfg = SolveConfig()
-    n = U.n
-    if n < 2:
+    if U.n < 2:
         raise ValueError("LP export needs at least 2 vertices")
-    _validate_config(n, cfg)
+    anchor = _anchor(U, cfg)  # before the file is opened, so a bad anchor writes nothing
     with Path(path).open("w", encoding="utf-8") as f:
-        f.writelines(f"{row}\n" for row in _lp_rows(U, cfg))
+        f.writelines(f"{row}\n" for row in _lp_rows(U, cfg, anchor))
 
 
-def _lp_rows(U: InteractionMatrix, cfg: SolveConfig) -> Iterator[str]:
+def _lp_rows(U: InteractionMatrix, cfg: SolveConfig, anchor: int) -> Iterator[str]:
     """The lines of ``export_lp``'s model, in file order."""
     n = U.n
-    anchor = cfg.anchor_vertex if cfg.anchor_vertex is not None else default_anchor(U)
     u = U.u.tolist()
 
     x = [[f"x_v{v}_i{i}" for i in range(1, n + 1)] for v in range(n)]
@@ -426,33 +449,17 @@ def result_to_json(result: SolveResult) -> str:
 def result_from_json(text: str) -> SolveResult:
     """Parse a result document; SchemaError names the violated field.
 
-    Accepts only what a solve can return: ``0 <= lower_bound <= objective``
-    with a finite objective, a known status, ``nodes >= 0`` and a finite
-    ``wall_time_s >= 0``.
+    Each field is read for its JSON type here; ``SolveResult`` checks the
+    values, so only what a solve can return is accepted.
     """
     doc = _parse_doc(text, SCHEMA_RESULT)
-    objective = _require(doc, "objective", float, SCHEMA_RESULT)
-    if not 0 <= objective < math.inf:
-        raise SchemaError("objective", f"objective must be finite and >= 0, got {objective}")
-    lower_bound = _require(doc, "lower_bound", float, SCHEMA_RESULT)
-    if not 0 <= lower_bound <= objective:
-        raise SchemaError("lower_bound", f"lower_bound must lie in [0, objective], got {lower_bound}")
-    status = _require(doc, "status", str, SCHEMA_RESULT)
-    if status not in (STATUS_OPTIMAL, STATUS_TIMEOUT):
-        raise SchemaError("status", f'unknown status "{status}"')
-    nodes = _require(doc, "nodes", int, SCHEMA_RESULT)
-    if nodes < 0:
-        raise SchemaError("nodes", f"nodes must be >= 0, got {nodes}")
-    wall_time = _require(doc, "wall_time_s", float, SCHEMA_RESULT)
-    if not 0 <= wall_time < math.inf:
-        raise SchemaError("wall_time_s", f"wall_time_s must be finite and >= 0, got {wall_time}")
     return SolveResult(
+        objective=_require(doc, "objective", float, SCHEMA_RESULT),
+        lower_bound=_require(doc, "lower_bound", float, SCHEMA_RESULT),
+        status=_require(doc, "status", str, SCHEMA_RESULT),
+        nodes_explored=_require(doc, "nodes", int, SCHEMA_RESULT),
+        wall_time=_require(doc, "wall_time_s", float, SCHEMA_RESULT),
         ordering=_ordering_field(doc, "ordering", SCHEMA_RESULT),
-        objective=objective,
-        lower_bound=lower_bound,
-        status=status,
-        nodes_explored=nodes,
-        wall_time=wall_time,
     )
 
 

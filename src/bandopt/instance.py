@@ -35,9 +35,11 @@ class GenerationError(RuntimeError):
 
 
 class SchemaError(ValueError):
-    """An instance, ordering or result document violates its schema.
+    """A document, or a value built in code, violates its type's invariants.
 
-    The offending field is available as ``field_name``.
+    Raised by the document readers and by the constructors of ``GenParams``,
+    ``Instance`` and ``SolveResult``.  The offending field is available as
+    ``field_name``, spelled as the document spells it.
     """
 
     def __init__(self, field_name: str, message: str):
@@ -60,6 +62,10 @@ class GenParams:
     L: float
     r_min: float = DEFAULT_R_MIN
 
+    def __post_init__(self):
+        if not (0 < self.L < math.inf and 0 < self.r_min < math.inf):
+            raise SchemaError("params", "params.L and params.r_min must be positive and finite")
+
     @staticmethod
     def defaults(n: int) -> "GenParams":
         # unit density keeps nearest-neighbour distances O(1)
@@ -71,7 +77,10 @@ class Instance:
     """An immutable 2-D point set with its bonded-neighbor structure.
 
     ``sites`` are dimensionless coordinates, ``bonds`` are unordered vertex
-    pairs stored as (i, j) with i < j.
+    pairs stored as (i, j) with i < j.  Construction checks a 64-bit
+    unsigned seed, at least one site, finite coordinates, distinct sites
+    (else CoincidentSitesError with the lexicographically first pair) and
+    bonds with ``0 <= i < j < n``.
     """
 
     id: str
@@ -80,12 +89,29 @@ class Instance:
     sites: tuple[tuple[float, float], ...]
     bonds: frozenset[tuple[int, int]]
 
+    def __post_init__(self):
+        if not 0 <= self.seed < 2**64:
+            raise SchemaError("seed", f"seed {self.seed} is not a 64-bit unsigned integer")
+        if not self.sites:
+            raise SchemaError("sites", "an instance needs at least one site")
+        for idx, (x, y) in enumerate(self.sites):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise SchemaError("sites", f"sites[{idx}] has a non-finite coordinate")
+        first: dict[tuple[float, float], int] = {}
+        repeats = [(first[s], j) for j, s in enumerate(self.sites) if first.setdefault(s, j) < j]
+        if repeats:
+            raise CoincidentSitesError(*min(repeats))  # lexicographically first (i, j)
+        n = len(self.sites)
+        for i, j in self.bonds:
+            if not 0 <= i < j < n:
+                raise SchemaError("bonds", f"bond ({i}, {j}) must satisfy 0 <= i < j < {n}")
+
     @property
     def n(self) -> int:
         return len(self.sites)
 
     def mean_degree(self) -> float:
-        return 2.0 * len(self.bonds) / self.n if self.n else 0.0
+        return 2.0 * len(self.bonds) / self.n
 
     def min_pairwise_distance(self) -> float:
         pts = np.asarray(self.sites)
@@ -98,26 +124,18 @@ class Instance:
 class InteractionMatrix:
     """Symmetric matrix of pairwise interaction weights u[i][j] = 1/d_ij^6.
 
-    The diagonal is zero and every off-diagonal entry is strictly positive.
-    The underlying array is marked read-only; share it freely.
+    Construction checks that ``u`` is square with n >= 1, finite and
+    symmetric, with a zero diagonal and strictly positive off-diagonal
+    entries, then marks it read-only in place: the caller hands ``u`` over
+    and must keep no writable reference.  Share it freely afterwards.
     """
 
-    n: int
     u: np.ndarray
 
-    @staticmethod
-    def from_array(u: np.ndarray) -> "InteractionMatrix":
-        """Wrap and validate a raw weight matrix not derived from geometry."""
-        return InteractionMatrix._validated(np.array(u, dtype=float))
-
-    @staticmethod
-    def _validated(u: np.ndarray) -> "InteractionMatrix":
-        """Check every invariant, then freeze ``u`` in place.
-
-        The caller hands over ``u`` and must keep no writable reference.
-        """
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise ValueError(f"weight matrix must be square, got shape {u.shape}")
+    def __post_init__(self):
+        u = self.u
+        if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 1:
+            raise ValueError(f"weight matrix must be square and non-empty, got shape {u.shape}")
         n = u.shape[0]
         if not np.all(np.isfinite(u)):
             raise ValueError("weight matrix entries must be finite")
@@ -128,7 +146,15 @@ class InteractionMatrix:
         if np.count_nonzero(u > 0.0) != n * (n - 1):  # diagonal is zero here
             raise ValueError("off-diagonal weights must be strictly positive")
         u.setflags(write=False)
-        return InteractionMatrix(n=n, u=u)
+
+    @property
+    def n(self) -> int:
+        return self.u.shape[0]
+
+    @staticmethod
+    def from_array(u: np.ndarray) -> "InteractionMatrix":
+        """Copy and validate a raw weight matrix not derived from geometry."""
+        return InteractionMatrix(np.array(u, dtype=float))
 
 
 def _pairwise_squared_distances(pts: np.ndarray) -> np.ndarray:
@@ -212,12 +238,8 @@ def generate(n: int, seed: int, params: GenParams | None = None) -> Instance:
     """
     if n < 2:
         raise ValueError(f"need at least 2 sites, got n={n}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     if params is None:
         params = GenParams.defaults(n)
-    if not (0 < params.L < math.inf and 0 < params.r_min < math.inf):
-        raise ValueError("box side and minimum separation must be positive and finite")
     if n * params.r_min**2 > 0.6 * params.L**2:
         raise GenerationError(
             f"packing infeasible: n*r_min^2 = {n * params.r_min ** 2:.4g} is not "
@@ -248,13 +270,9 @@ def interaction_matrix(inst: Instance) -> InteractionMatrix:
     """Dense interaction matrix over all site pairs: u[i][j] = 1/d_ij^6."""
     d2 = _pairwise_squared_distances(np.asarray(inst.sites))
     np.fill_diagonal(d2, np.inf)  # so the diagonal weight is 1/inf = 0
-    zero = np.argwhere(d2 == 0.0)
-    if len(zero):
-        i, j = (int(v) for v in zero[0])  # row-major first hit, so i < j
-        raise CoincidentSitesError(i, j)
     with np.errstate(divide="ignore", over="ignore"):
-        u = 1.0 / d2**3  # inf or 0 here fails _validated's checks
-    return InteractionMatrix._validated(u)
+        u = 1.0 / d2**3  # a d2 that under- or overflows gives inf or 0: rejected
+    return InteractionMatrix(u)
 
 
 def to_json(inst: Instance) -> str:
@@ -310,28 +328,23 @@ def _require(doc: dict, key: str, kind: type, where: str) -> object:
 
 
 def from_json(text: str) -> Instance:
-    """Parse and validate an instance document.
+    """Parse an instance document.
 
     Raises SchemaError naming the violated field, or CoincidentSitesError
-    when two parsed coordinates coincide.
+    when two parsed coordinates coincide.  Here only the JSON shape is
+    checked; ``GenParams`` and ``Instance`` check the values.
     """
     doc = _parse_doc(text, SCHEMA_INSTANCE)
     inst_id = _require(doc, "id", str, SCHEMA_INSTANCE)
     seed = _require(doc, "seed", int, SCHEMA_INSTANCE)
-    if not 0 <= seed < 2**64:
-        raise SchemaError("seed", f"seed {seed} is not a 64-bit unsigned integer")
-
     raw_params = _require(doc, "params", dict, SCHEMA_INSTANCE)
-    L = _require(raw_params, "L", float, "params")
-    r_min = _require(raw_params, "r_min", float, "params")
-    if not (0 < L < math.inf and 0 < r_min < math.inf):
-        raise SchemaError("params", "params.L and params.r_min must be positive and finite")
+    params = GenParams(
+        L=_require(raw_params, "L", float, "params"),
+        r_min=_require(raw_params, "r_min", float, "params"),
+    )
 
-    raw_sites = _require(doc, "sites", list, SCHEMA_INSTANCE)
-    if not raw_sites:
-        raise SchemaError("sites", '"sites" must be a non-empty list')
     sites: list[tuple[float, float]] = []
-    for idx, entry in enumerate(raw_sites):
+    for idx, entry in enumerate(_require(doc, "sites", list, SCHEMA_INSTANCE)):
         if (
             not isinstance(entry, list)
             or len(entry) != 2
@@ -339,42 +352,25 @@ def from_json(text: str) -> Instance:
         ):
             raise SchemaError("sites", f"sites[{idx}] must be a pair of numbers")
         try:
-            x, y = float(entry[0]), float(entry[1])
+            sites.append((float(entry[0]), float(entry[1])))
         except OverflowError:  # a JSON integer beyond the float range
             raise SchemaError("sites", f"sites[{idx}] has a coordinate too large for a float") from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise SchemaError("sites", f"sites[{idx}] has a non-finite coordinate")
-        sites.append((x, y))
-    n = len(sites)
-    first: dict[tuple[float, float], int] = {}
-    repeats = [(first[s], j) for j, s in enumerate(sites) if first.setdefault(s, j) < j]
-    if repeats:
-        raise CoincidentSitesError(*min(repeats))  # lexicographically first (i, j)
 
-    raw_bonds = _require(doc, "bonds", list, SCHEMA_INSTANCE)
     bonds: set[tuple[int, int]] = set()
-    for idx, entry in enumerate(raw_bonds):
+    for idx, entry in enumerate(_require(doc, "bonds", list, SCHEMA_INSTANCE)):
         if (
             not isinstance(entry, list)
             or len(entry) != 2
             or not all(isinstance(v, int) and not isinstance(v, bool) for v in entry)
         ):
             raise SchemaError("bonds", f"bonds[{idx}] must be a pair of integers")
-        i, j = entry
-        if not (0 <= i < n and 0 <= j < n):
-            raise SchemaError("bonds", f"bonds[{idx}] references a vertex outside 0..{n - 1}")
-        if i >= j:
-            raise SchemaError("bonds", f"bonds[{idx}] must satisfy i < j")
-        if (i, j) in bonds:
-            raise SchemaError("bonds", f"bonds[{idx}] duplicates pair ({i}, {j})")
-        bonds.add((i, j))
+        bond = (entry[0], entry[1])
+        if bond in bonds:  # a frozenset would drop the repeat silently
+            raise SchemaError("bonds", f"bonds[{idx}] duplicates pair {bond}")
+        bonds.add(bond)
 
     return Instance(
-        id=inst_id,
-        seed=seed,
-        params=GenParams(L=L, r_min=r_min),
-        sites=tuple(sites),
-        bonds=frozenset(bonds),
+        id=inst_id, seed=seed, params=params, sites=tuple(sites), bonds=frozenset(bonds)
     )
 
 

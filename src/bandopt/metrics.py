@@ -69,8 +69,8 @@ def weighted_bandwidth(U: InteractionMatrix, ordering: Ordering) -> Bandwidth:
 
     Ties in the attaining pair report the lexicographically smallest (i, j).
     A 1-vertex ordering has bandwidth 0 and no pair.  The tie rule relies on
-    the ``InteractionMatrix`` invariant that ``u`` is symmetric, which
-    ``_validated`` enforces and ``permute_matrix`` preserves.
+    the ``InteractionMatrix`` invariant that ``u`` is symmetric, which its
+    constructor enforces.
     """
     n = U.n
     if ordering.n != n:
@@ -104,8 +104,7 @@ def permute_matrix(U: InteractionMatrix, ordering: Ordering) -> InteractionMatri
     idx = np.asarray(ordering.perm) - 1
     out = np.empty_like(U.u)
     out[np.ix_(idx, idx)] = U.u
-    out.setflags(write=False)
-    return InteractionMatrix(n=U.n, u=out)
+    return InteractionMatrix(out)
 
 
 def rcm_gap(obj_rcm: float, opt: float) -> float:

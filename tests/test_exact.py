@@ -16,6 +16,7 @@ from bandopt.exact import (
     STATUS_OPTIMAL,
     STATUS_TIMEOUT,
     SolveConfig,
+    SolveResult,
     _slack_table,
     branch_and_bound,
     brute_force,
@@ -230,6 +231,15 @@ class TestBranchAndBound:
             branch_and_bound(U, SolveConfig(node_limit=0))
         with pytest.raises(ValueError):
             branch_and_bound(U, SolveConfig(anchor_vertex=5))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(time_limit=0.0), dict(time_limit=-1.0), dict(time_limit=math.nan), dict(node_limit=0)],
+        ids=["zero-time", "negative-time", "nan-time", "zero-nodes"],
+    )
+    def test_config_rejected_at_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            SolveConfig(**kwargs)
 
     def test_default_anchor_is_max_row_sum(self):
         U = interaction_matrix(generate(9, 6))
@@ -634,4 +644,34 @@ class TestResultSerialization:
             text = json.dumps({k: v for k, v in doc.items() if v is not None})
         with pytest.raises(SchemaError) as err:
             result_from_json(text)
+        assert err.value.field_name == field
+
+    @pytest.mark.parametrize(
+        "edit,field",
+        [
+            (dict(objective=math.inf), "objective"),
+            (dict(objective=-1.0, lower_bound=-2.0), "objective"),
+            (dict(lower_bound=2.0), "lower_bound"),
+            (dict(lower_bound=math.nan), "lower_bound"),
+            (dict(status="banana"), "status"),
+            (dict(nodes_explored=-1), "nodes"),
+            (dict(wall_time=math.nan), "wall_time_s"),
+        ],
+        ids=[
+            "infinite-objective", "negative-objective", "bound-above-objective",
+            "nan-bound", "unknown-status", "negative-nodes", "nan-wall-time",
+        ],
+    )
+    def test_constructor_rejects(self, edit, field):
+        """What result_from_json rejects, a solve cannot build either."""
+        valid = dict(
+            ordering=Ordering((2, 1, 3)),
+            objective=1.5,
+            lower_bound=1.0,
+            status=STATUS_OPTIMAL,
+            nodes_explored=7,
+            wall_time=0.25,
+        )
+        with pytest.raises(SchemaError) as err:
+            SolveResult(**{**valid, **edit})
         assert err.value.field_name == field

@@ -65,13 +65,15 @@ class TestGenerate:
 
     @pytest.mark.parametrize(
         "params",
-        [GenParams(L=math.nan), GenParams(L=math.inf), GenParams(L=10.0, r_min=math.nan)],
+        [dict(L=math.nan), dict(L=math.inf), dict(L=10.0, r_min=math.nan), dict(L=-1.0)],
     )
     def test_non_finite_params_rejected_up_front(self, params):
-        # ValueError before any rejection sampling, not a late GenerationError
+        # ValueError before any rejection sampling, not a late GenerationError;
+        # GenParams raises it as it is built
         with pytest.raises(ValueError) as err:
-            generate(8, 0, params)
+            generate(8, 0, GenParams(**params))
         assert not isinstance(err.value, GenerationError)
+        assert isinstance(err.value, SchemaError) and err.value.field_name == "params"
 
     def test_too_few_sites(self):
         with pytest.raises(ValueError):
@@ -160,9 +162,8 @@ class TestInteractionMatrix:
         assert np.allclose(ratio, 3.0 ** -6, rtol=1e-12)
 
     def test_coincident_sites_raise(self):
-        inst = _toy([(1.0, 1.0), (1.0, 1.0)])
         with pytest.raises(CoincidentSitesError) as err:
-            interaction_matrix(inst)
+            _toy([(1.0, 1.0), (1.0, 1.0)])
         assert err.value.pair == (0, 1)
 
     def test_matrix_is_read_only(self):
@@ -176,6 +177,21 @@ class TestInteractionMatrix:
         with pytest.raises(ValueError):
             interaction_matrix(_toy([(0.0, 0.0), (gap, 0.0)]))
 
+    @pytest.mark.parametrize(
+        "u",
+        [
+            [[0.0, math.inf], [math.inf, 0.0]],
+            [[0.0, -1.0], [-1.0, 0.0]],
+            [[0.0, math.nan], [math.nan, 0.0]],
+            np.zeros((0, 0)),
+        ],
+        ids=["inf", "negative", "nan", "empty"],
+    )
+    def test_constructor_rejects(self, u):
+        # the constructor itself checks, as permute_matrix builds it directly
+        with pytest.raises(ValueError):
+            InteractionMatrix(np.array(u, dtype=float))
+
     def test_from_array_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             InteractionMatrix.from_array(np.array([[0.0, 1.0], [2.0, 0.0]]))
@@ -187,6 +203,35 @@ class TestInteractionMatrix:
     def test_from_array_rejects_nonpositive_offdiag(self):
         with pytest.raises(ValueError):
             InteractionMatrix.from_array(np.array([[0.0, 0.0], [0.0, 0.0]]))
+
+
+class TestInstance:
+    @pytest.mark.parametrize(
+        "fields,field",
+        [
+            (dict(sites=((math.nan, 0.0), (1.0, 0.0))), "sites"),
+            (dict(sites=()), "sites"),
+            (dict(bonds=frozenset({(1, 0)})), "bonds"),
+            (dict(bonds=frozenset({(0, 5)})), "bonds"),
+            (dict(seed=-5), "seed"),
+            (dict(seed=2**64), "seed"),
+        ],
+        ids=[
+            "nan-site", "no-sites", "reversed-bond", "bond-out-of-range",
+            "negative-seed", "seed-too-large",
+        ],
+    )
+    def test_constructor_rejects(self, fields, field):
+        valid = dict(
+            id="toy",
+            seed=0,
+            params=GenParams(L=10.0),
+            sites=((0.0, 0.0), (1.0, 0.0)),
+            bonds=frozenset({(0, 1)}),
+        )
+        with pytest.raises(SchemaError) as err:
+            Instance(**{**valid, **fields})
+        assert err.value.field_name == field
 
 
 class TestSerialization:
@@ -252,11 +297,13 @@ class TestSerialization:
 
     def test_coincident_pair_is_lexicographically_first(self):
         # B repeats first (1, 2), but (0, 3) is the smaller pair
-        inst = _toy([(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 0.0)])
+        sites = [(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 0.0)]
+        doc = json.loads(to_json(generate(4, 1)))
+        doc["sites"] = [list(s) for s in sites]
         with pytest.raises(CoincidentSitesError) as parsed:
-            from_json(to_json(inst))
+            from_json(json.dumps(doc))
         with pytest.raises(CoincidentSitesError) as built:
-            interaction_matrix(inst)
+            _toy(sites)
         assert parsed.value.pair == built.value.pair == (0, 3)
 
     def test_bond_order_enforced(self):
