@@ -63,7 +63,6 @@ def _solve_config(args: argparse.Namespace) -> SolveConfig:
         use_symmetry_breaking=not args.no_sym,
         time_limit=args.time_limit,
         node_limit=args.node_limit,
-        anchor_vertex=args.anchor,
     )
 
 
@@ -83,11 +82,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_lp(args: argparse.Namespace) -> int:
     inst = load(args.instance)
     U = interaction_matrix(inst)
-    cfg = SolveConfig(
-        use_lower_bound=not args.no_lb,
-        use_symmetry_breaking=not args.no_sym,
-        anchor_vertex=args.anchor,
-    )
+    cfg = SolveConfig(use_lower_bound=not args.no_lb, use_symmetry_breaking=not args.no_sym)
     export_lp(U, cfg, args.out)
     print(f"wrote LP model for {inst.id} to {args.out}")
     return 0
@@ -140,7 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-sym", action="store_true", help="disable the anchor-position restriction")
     p.add_argument("--time-limit", type=float, default=3600.0, help="wall clock limit in seconds")
     p.add_argument("--node-limit", type=int, default=None, help="stop after this many search nodes")
-    p.add_argument("--anchor", type=int, default=None, help="anchor vertex override")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("lp", help="export the MILP model in LP text format")
@@ -148,7 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="LP file output path")
     p.add_argument("--no-lb", action="store_true", help="omit the lower-bound row")
     p.add_argument("--no-sym", action="store_true", help="omit the anchor-position row")
-    p.add_argument("--anchor", type=int, default=None, help="anchor vertex override")
     p.set_defaults(func=_cmd_lp)
 
     p = sub.add_parser("bench", help="gap study: heuristic vs exact over a generated suite")

@@ -36,18 +36,15 @@ class SolveConfig:
 
     ``use_lower_bound`` enables seeding the bound and terminating as soon as
     the incumbent matches it; ``use_symmetry_breaking`` confines the anchor
-    vertex to the first half of the positions.  ``anchor_vertex`` of None
-    picks the vertex with the largest interaction row sum.  Node counts are
-    reproducible for every configuration.  Construction checks
-    ``time_limit > 0`` and ``node_limit >= 1``; the anchor's range depends
-    on the matrix, so ``_anchor`` checks it.
+    vertex, always ``default_anchor``, to the first half of the positions.
+    Node counts are reproducible for every configuration.  Construction
+    checks ``time_limit > 0`` and ``node_limit >= 1``.
     """
 
     use_lower_bound: bool = True
     use_symmetry_breaking: bool = True
     time_limit: float = 3600.0
     node_limit: int | None = None
-    anchor_vertex: int | None = None
 
     def __post_init__(self):
         if not self.time_limit > 0:  # also rejects NaN, which no deadline would ever reach
@@ -92,23 +89,12 @@ class SolveResult:
 
 def theoretical_lower_bound(U: InteractionMatrix) -> float:
     """Largest off-diagonal weight: some pair always sits at distance >= 1."""
-    if U.n < 2:
-        raise ValueError("lower bound needs at least one vertex pair")
     return float(U.u.max())
 
 
 def default_anchor(U: InteractionMatrix) -> int:
     """Vertex with the largest interaction row sum, ties by lowest index."""
     return int(np.argmax(U.u.sum(axis=1)))
-
-
-def _anchor(U: InteractionMatrix, cfg: SolveConfig) -> int:
-    """The anchor rule: ``cfg.anchor_vertex`` if set and in range, else ``default_anchor``."""
-    if cfg.anchor_vertex is None:
-        return default_anchor(U)
-    if not 0 <= cfg.anchor_vertex < U.n:
-        raise ValueError(f"anchor_vertex {cfg.anchor_vertex} outside 0..{U.n - 1}")
-    return cfg.anchor_vertex
 
 
 @lru_cache(maxsize=4)
@@ -131,15 +117,6 @@ def brute_force(U: InteractionMatrix) -> SolveResult:
             f"brute force enumerates n! orderings; refusing n={n} > {_BRUTE_FORCE_MAX_N}"
         )
     t0 = time.perf_counter()
-    if n == 1:
-        return SolveResult(
-            ordering=Ordering.identity(1),
-            objective=0.0,
-            lower_bound=0.0,
-            status=STATUS_OPTIMAL,
-            nodes_explored=1,
-            wall_time=time.perf_counter() - t0,
-        )
     perms = _positions_table(n)
     u = U.u
     obj = np.zeros(len(perms))
@@ -272,21 +249,9 @@ def branch_and_bound(
         cfg = SolveConfig()
     n = U.n
     t0 = time.perf_counter()
-    anchor = _anchor(U, cfg)
-    if n == 1:
-        return SolveResult(
-            ordering=Ordering.identity(1),
-            objective=0.0,
-            lower_bound=0.0,
-            status=STATUS_OPTIMAL,
-            nodes_explored=0,
-            wall_time=time.perf_counter() - t0,
-        )
-
+    anchor = default_anchor(U)
     lower_bound = theoretical_lower_bound(U)
     seed = warm_start if warm_start is not None else Ordering.identity(n)
-    if seed.n != n:
-        raise ValueError(f"warm start covers {seed.n} vertices, matrix has {n}")
     u: list[list[float]] = U.u.tolist()
     seed_objective = weighted_bandwidth(U, seed).value
     probe = _greedy_probe(u)
@@ -399,14 +364,11 @@ def export_lp(
     """
     if cfg is None:
         cfg = SolveConfig()
-    if U.n < 2:
-        raise ValueError("LP export needs at least 2 vertices")
-    anchor = _anchor(U, cfg)  # before the file is opened, so a bad anchor writes nothing
     with Path(path).open("w", encoding="utf-8") as f:
-        f.writelines(f"{row}\n" for row in _lp_rows(U, cfg, anchor))
+        f.writelines(f"{row}\n" for row in _lp_rows(U, cfg))
 
 
-def _lp_rows(U: InteractionMatrix, cfg: SolveConfig, anchor: int) -> Iterator[str]:
+def _lp_rows(U: InteractionMatrix, cfg: SolveConfig) -> Iterator[str]:
     """The lines of ``export_lp``'s model, in file order."""
     n = U.n
     u = U.u.tolist()
@@ -427,7 +389,7 @@ def _lp_rows(U: InteractionMatrix, cfg: SolveConfig, anchor: int) -> Iterator[st
     if cfg.use_lower_bound:
         yield f" lb: b >= {theoretical_lower_bound(U)!r}"
     if cfg.use_symmetry_breaking:
-        yield from _wrap_row(f" sym: {' + '.join(position[anchor])} <= {(n + 1) // 2}")
+        yield from _wrap_row(f" sym: {' + '.join(position[default_anchor(U)])} <= {(n + 1) // 2}")
     yield from ("Bounds", " b >= 0", "Binaries")
     binaries = [name for row in x for name in row]
     yield from (" " + " ".join(binaries[k : k + 8]) for k in range(0, len(binaries), 8))

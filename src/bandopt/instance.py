@@ -72,13 +72,19 @@ class GenParams:
         return GenParams(L=math.sqrt(n), r_min=DEFAULT_R_MIN)
 
 
+def _check_seed(seed: int) -> None:
+    """The seed range: a 64-bit unsigned integer, else SchemaError("seed")."""
+    if not 0 <= seed < 2**64:
+        raise SchemaError("seed", f"seed {seed} is not a 64-bit unsigned integer")
+
+
 @dataclass(frozen=True)
 class Instance:
     """An immutable 2-D point set with its bonded-neighbor structure.
 
     ``sites`` are dimensionless coordinates, ``bonds`` are unordered vertex
     pairs stored as (i, j) with i < j.  Construction checks a 64-bit
-    unsigned seed, at least one site, finite coordinates, distinct sites
+    unsigned seed, at least two sites, finite coordinates, distinct sites
     (else CoincidentSitesError with the lexicographically first pair) and
     bonds with ``0 <= i < j < n``.
     """
@@ -90,10 +96,9 @@ class Instance:
     bonds: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
-            raise SchemaError("seed", f"seed {self.seed} is not a 64-bit unsigned integer")
-        if not self.sites:
-            raise SchemaError("sites", "an instance needs at least one site")
+        _check_seed(self.seed)
+        if len(self.sites) < 2:
+            raise SchemaError("sites", "an instance needs at least two sites")
         for idx, (x, y) in enumerate(self.sites):
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise SchemaError("sites", f"sites[{idx}] has a non-finite coordinate")
@@ -116,26 +121,26 @@ class Instance:
     def min_pairwise_distance(self) -> float:
         pts = np.asarray(self.sites)
         d2 = _pairwise_squared_distances(pts)
-        n = len(pts)
-        return float(np.sqrt(d2[np.triu_indices(n, k=1)].min())) if n > 1 else math.inf
+        return float(np.sqrt(d2[np.triu_indices(len(pts), k=1)].min()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InteractionMatrix:
     """Symmetric matrix of pairwise interaction weights u[i][j] = 1/d_ij^6.
 
-    Construction checks that ``u`` is square with n >= 1, finite and
+    Construction checks that ``u`` is square with n >= 2, finite and
     symmetric, with a zero diagonal and strictly positive off-diagonal
     entries, then marks it read-only in place: the caller hands ``u`` over
     and must keep no writable reference.  Share it freely afterwards.
+    Equality and hashing are by identity, since numpy arrays have neither.
     """
 
     u: np.ndarray
 
     def __post_init__(self):
         u = self.u
-        if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 1:
-            raise ValueError(f"weight matrix must be square and non-empty, got shape {u.shape}")
+        if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 2:
+            raise ValueError(f"weight matrix must be square with n >= 2, got shape {u.shape}")
         n = u.shape[0]
         if not np.all(np.isfinite(u)):
             raise ValueError("weight matrix entries must be finite")
@@ -238,6 +243,7 @@ def generate(n: int, seed: int, params: GenParams | None = None) -> Instance:
     """
     if n < 2:
         raise ValueError(f"need at least 2 sites, got n={n}")
+    _check_seed(seed)  # before default_rng, which has its own message for a negative seed
     if params is None:
         params = GenParams.defaults(n)
     if n * params.r_min**2 > 0.6 * params.L**2:

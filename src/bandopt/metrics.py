@@ -58,7 +58,7 @@ class Bandwidth:
     """A weighted bandwidth value and one vertex pair attaining it."""
 
     value: float
-    argpair: tuple[int, int] | None
+    argpair: tuple[int, int]
 
     def __float__(self) -> float:
         return self.value
@@ -68,15 +68,12 @@ def weighted_bandwidth(U: InteractionMatrix, ordering: Ordering) -> Bandwidth:
     """max over all vertex pairs of u[i][j] * |position difference|.
 
     Ties in the attaining pair report the lexicographically smallest (i, j).
-    A 1-vertex ordering has bandwidth 0 and no pair.  The tie rule relies on
-    the ``InteractionMatrix`` invariant that ``u`` is symmetric, which its
-    constructor enforces.
+    The tie rule relies on the ``InteractionMatrix`` invariants that ``u``
+    is symmetric and at least 2 x 2, which its constructor enforces.
     """
     n = U.n
     if ordering.n != n:
         raise ValueError(f"ordering covers {ordering.n} vertices, matrix has {n}")
-    if n == 1:
-        return Bandwidth(0.0, None)
     p = np.asarray(ordering.perm)
     cost = U.u * np.abs(p[:, None] - p)
     # cost is symmetric with a zero diagonal, so the first row-major maximum

@@ -35,6 +35,23 @@ def test_solve_rejects_out_of_range_weights(tmp_path, capsys, gap):
     assert not out.exists()
 
 
+def test_solve_rejects_one_site_and_anchor(tmp_path, capsys):
+    path, out = tmp_path / "inst.json", tmp_path / "result.json"
+    doc = json.loads(to_json(generate(6, 1)))
+    doc["sites"], doc["bonds"] = doc["sites"][:1], []
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--instance", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("bandopt: ")
+    assert not out.exists()
+
+    save(generate(6, 1), path)
+    for command in ("solve", "lp"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--instance", str(path), "--out", str(out), "--anchor", "0"])
+        assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_rcm_rejects_oversized_param(tmp_path, capsys):
     path, out = tmp_path / "inst.json", tmp_path / "order.json"
     doc = json.loads(to_json(generate(6, 1)))
@@ -62,7 +79,7 @@ def test_gen_rejects_nonpositive_count(tmp_path, capsys, count):
     assert not out.exists()
 
 
-def test_lp_writes_export_lp_model(tmp_path, capsys):
+def test_lp_writes_export_lp_model(tmp_path):
     path = tmp_path / "inst.json"
     save(generate(6, 3), path)
     out, ref = tmp_path / "model.lp", tmp_path / "ref.lp"
@@ -76,11 +93,6 @@ def test_lp_writes_export_lp_model(tmp_path, capsys):
     dropped = [line for line in full if line not in kept]
     assert [line.split(":")[0] for line in dropped] == [" lb", " sym"]
     assert [line for line in full if line not in dropped] == kept
-
-    bad = tmp_path / "bad.lp"
-    assert main(["lp", "--instance", str(path), "--out", str(bad), "--anchor", "6"]) == 1
-    assert capsys.readouterr().err.startswith("bandopt: ")
-    assert not bad.exists()
 
 
 def test_bench_writes_report_and_summary(tmp_path):

@@ -71,11 +71,6 @@ class TestLowerBound:
 
 
 class TestBruteForce:
-    def test_single_vertex(self):
-        res = brute_force(InteractionMatrix.from_array(np.zeros((1, 1))))
-        assert res.objective == 0.0
-        assert res.ordering == Ordering.identity(1)
-
     def test_collinear_objective(self):
         res = brute_force(COLLINEAR)
         assert res.objective == 1.0
@@ -118,11 +113,6 @@ class TestBranchAndBound:
             assert bb.objective == bf.objective
             assert weighted_bandwidth(U, bb.ordering).value == bb.objective
 
-    def test_single_vertex(self):
-        res = branch_and_bound(InteractionMatrix.from_array(np.zeros((1, 1))))
-        assert res.objective == 0.0
-        assert res.status == STATUS_OPTIMAL
-
     def test_two_sites(self):
         U = _matrix_from_points([(0.0, 0.0), (2.0, 0.0)])
         res = branch_and_bound(U)
@@ -158,13 +148,6 @@ class TestBranchAndBound:
             off = branch_and_bound(U, SolveConfig(use_symmetry_breaking=False))
             assert on.objective == off.objective
             assert on.nodes_explored <= off.nodes_explored
-
-    def test_anchor_override(self):
-        U = interaction_matrix(generate(7, 5))
-        bf = brute_force(U)
-        for anchor in range(7):
-            res = branch_and_bound(U, SolveConfig(anchor_vertex=anchor))
-            assert res.objective == bf.objective
 
     def test_timeout_returns_feasible_incumbent(self):
         U = interaction_matrix(generate(12, 2024))
@@ -229,8 +212,6 @@ class TestBranchAndBound:
             branch_and_bound(U, SolveConfig(time_limit=math.nan))
         with pytest.raises(ValueError):
             branch_and_bound(U, SolveConfig(node_limit=0))
-        with pytest.raises(ValueError):
-            branch_and_bound(U, SolveConfig(anchor_vertex=5))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -385,7 +366,7 @@ def _reference_solve(U, cfg, warm_start):
     """
     n, u = U.n, U.u.tolist()
     lower_bound = theoretical_lower_bound(U)
-    anchor = default_anchor(U) if cfg.anchor_vertex is None else cfg.anchor_vertex
+    anchor = default_anchor(U)
     pos, placed = [1] + [0] * (n - 1), [0]
     for p in range(2, n + 1):
         v = _reference_branch_order(u, pos, placed, p)[0][1]
@@ -434,7 +415,7 @@ def _reference_solve(U, cfg, warm_start):
 
 @st.composite
 def _search_cases(draw):
-    """Tie-heavy or log-normal weights with any toggles, anchor, warm start and node limit."""
+    """Tie-heavy or log-normal weights with any toggles, warm start and node limit."""
     n = draw(st.integers(min_value=2, max_value=9))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     kind = draw(st.sampled_from(["1-3", "0.3/0.7/1.1", "0.1k", "lognormal"]))
@@ -455,7 +436,6 @@ def _search_cases(draw):
         use_lower_bound=draw(st.booleans()),
         use_symmetry_breaking=draw(st.booleans()),
         node_limit=draw(st.none() | limits if n <= 7 else limits),
-        anchor_vertex=draw(st.none() | st.integers(min_value=0, max_value=n - 1)),
     )
     warm = None
     if draw(st.booleans()):
@@ -544,26 +524,21 @@ def _extreme_matrix():
 
 
 _LP_CONFIGS = {
-    "default": lambda n: None,
-    "plain": lambda n: SolveConfig(use_lower_bound=False, use_symmetry_breaking=False),
-    "anchor": lambda n: SolveConfig(anchor_vertex=n - 1),
+    "default": None,
+    "plain": SolveConfig(use_lower_bound=False, use_symmetry_breaking=False),
 }
 
 # Digests of export_lp output recorded before the writer stated each position
-# sum once.  n = 12 and 60 wrap rows; n = 60 is the benchmark's instance.  The
-# anchor config is left out where n - 1 is already the default anchor.
+# sum once.  n = 12 and 60 wrap rows; n = 60 is the benchmark's instance.
 PINNED_LP = [
     (2, 0, "default", "a89ae22353d85bdf71e26dcf2f63738e738b0216cb56f2559fb43b40da222371"),
     (2, 0, "plain", "5bfb98ff746d1dd80d91b892a8ae0da44678478874800e2e69cc54a37c61316e"),
-    (2, 0, "anchor", "3ac219b4f90eabb887a0e34b1ceb54146c8de5e45f02d6f3b35b64729b6b125f"),
     (5, 0, "default", "b95427867d156ac83b27935451140c15e369143c7603da2629449f1acc81c568"),
     (5, 0, "plain", "5f878591c7084cef7b81ecf62b8383b503a26137f0997b28ab055f5206e2ba69"),
-    (5, 0, "anchor", "082317bcf41e10aa244631d275115d9279e4f01fc7fedb2b2980728cad65dc41"),
     (12, 0, "default", "0441d9d5b7f910ec14c8d35ed91fe4a87bc882ccf09fee1584dc0b8319fac2b1"),
     (12, 0, "plain", "a69d7bd48355c59acfc919d689fcdd48f79516ad26ad12aa523c7c4b638d238d"),
     (60, 60000222, "default", "83b2d3d4785850a82637cf41cba59730f41d394ab436131b5f9d9e8c7886bceb"),
     (60, 60000222, "plain", "79b672be8dddfbc8f14c7224d2e625ba6f05eb1baf805a2114ebf0b7dddd3ede"),
-    (60, 60000222, "anchor", "60dd70bae7494578ece7344e151b29fe78eab8368c34b2314a99a34193fb5939"),
     (5, None, "default", "021d20f94309772d931d4c4b9d7095c6ea7840c43a42545fb3419ef3c9ddd136"),
     (5, None, "plain", "deae617cd378fb78effdb229af9227853103f2c69666a10fb342c36664877321"),
 ]
@@ -577,7 +552,7 @@ PINNED_LP = [
 def test_pinned_lp_bytes(tmp_path, n, seed, config, digest):
     U = _extreme_matrix() if seed is None else interaction_matrix(generate(n, seed))
     path = tmp_path / "model.lp"
-    export_lp(U, _LP_CONFIGS[config](n), path)
+    export_lp(U, _LP_CONFIGS[config], path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 

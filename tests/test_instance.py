@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import bandopt.instance
 from bandopt.instance import (
     CoincidentSitesError,
     GenerationError,
@@ -82,6 +83,16 @@ class TestGenerate:
     def test_seed_range(self):
         with pytest.raises(ValueError):
             generate(5, -1)
+
+    @pytest.mark.parametrize("seed", [-5, 2**64], ids=["negative", "too-large"])
+    def test_seed_checked_before_sampling(self, monkeypatch, seed):
+        def sample(*args):
+            raise AssertionError("sampled with an invalid seed")
+
+        monkeypatch.setattr(bandopt.instance, "_sample_separated_points", sample)
+        with pytest.raises(SchemaError) as err:
+            generate(5, seed)
+        assert err.value.field_name == "seed"
 
     def test_distinct_seeds_distinct_instances(self):
         assert generate(10, 0).sites != generate(10, 1).sites
@@ -184,13 +195,22 @@ class TestInteractionMatrix:
             [[0.0, -1.0], [-1.0, 0.0]],
             [[0.0, math.nan], [math.nan, 0.0]],
             np.zeros((0, 0)),
+            np.zeros((1, 1)),
         ],
-        ids=["inf", "negative", "nan", "empty"],
+        ids=["inf", "negative", "nan", "empty", "one-vertex"],
     )
     def test_constructor_rejects(self, u):
         # the constructor itself checks, as permute_matrix builds it directly
         with pytest.raises(ValueError):
             InteractionMatrix(np.array(u, dtype=float))
+
+    def test_identity_equality_and_hash(self):
+        # numpy arrays define neither a truth value for == nor a hash
+        U = InteractionMatrix.from_array(np.ones((3, 3)) - np.eye(3))
+        V = InteractionMatrix.from_array(U.u)
+        assert U == U and U != V
+        assert hash(U) == hash(U)
+        assert len({U, V, U}) == 2 and V not in {U}
 
     def test_from_array_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -211,13 +231,14 @@ class TestInstance:
         [
             (dict(sites=((math.nan, 0.0), (1.0, 0.0))), "sites"),
             (dict(sites=()), "sites"),
+            (dict(sites=((0.0, 0.0),), bonds=frozenset()), "sites"),
             (dict(bonds=frozenset({(1, 0)})), "bonds"),
             (dict(bonds=frozenset({(0, 5)})), "bonds"),
             (dict(seed=-5), "seed"),
             (dict(seed=2**64), "seed"),
         ],
         ids=[
-            "nan-site", "no-sites", "reversed-bond", "bond-out-of-range",
+            "nan-site", "no-sites", "one-site", "reversed-bond", "bond-out-of-range",
             "negative-seed", "seed-too-large",
         ],
     )
@@ -255,6 +276,13 @@ class TestSerialization:
     def test_missing_sites_named(self):
         doc = json.loads(to_json(generate(4, 1)))
         del doc["sites"]
+        with pytest.raises(SchemaError) as err:
+            from_json(json.dumps(doc))
+        assert err.value.field_name == "sites"
+
+    def test_one_site_named(self):
+        doc = json.loads(to_json(generate(4, 1)))
+        doc["sites"], doc["bonds"] = doc["sites"][:1], []
         with pytest.raises(SchemaError) as err:
             from_json(json.dumps(doc))
         assert err.value.field_name == "sites"
