@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .exact import SolveConfig, branch_and_bound, export_lp, save_result
 from .harness import run_suite, save_report, save_summary, summarize
-from .instance import GenParams, generate, interaction_matrix, load, save
+from .instance import GenParams, _check_seed, generate, interaction_matrix, load, save
 from .metrics import classic_bandwidth, weighted_bandwidth, save_ordering
 from .rcm import rcm_on_instance
 
@@ -37,6 +37,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         save(inst, args.out)
         print(f"wrote {inst.id} to {args.out}")
         return 0
+    # the seeds are consecutive, so checking both ends makes a bad seed fail
+    # before the directory or any instance is written
+    _check_seed(args.seed)
+    _check_seed(args.seed + args.count - 1)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for k in range(args.count):

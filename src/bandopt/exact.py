@@ -9,6 +9,7 @@ integer linear program in LP text format for external solvers.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -195,20 +196,43 @@ def _greedy_probe(u: list[list[float]]) -> Ordering:
     return Ordering(tuple(pos))
 
 
-def _tighten(slack: list[list[int]], at: tuple[int, ...], due: list[dict[int, int]]) -> None:
-    """Rebuild, in place, the deadlines of every depth along the path ``at``
-    (``at[p-1]`` sits at position p) under the new ``slack`` table.
+def _tight_partners(u: list[list[float]], bound: float) -> list[list[tuple[int, int]]]:
+    """``tight[w]``: the pairs ``(slack[w][x], x)`` of ``_slack_table(u, bound)``
+    with ``slack[w][x] < n``, in ascending slack order.
+
+    Deadlines never exceed n, so only these x can have their deadline
+    lowered by w, and placing w at p lowers one only while
+    ``slack[w][x] < n - p``.  A vertex is never its own partner: its zero
+    diagonal weight has slack n.
+    """
+    n = len(u)
+    slack = _slack_table(u, bound)
+    return [sorted((s, x) for x, s in enumerate(row) if s < n) for row in slack]
+
+
+def _tighten(
+    tight: list[list[tuple[int, int]]], at: tuple[int, ...], due: list[list[int]]
+) -> None:
+    """Rebuild, in place, the deadline lists of every depth along the path
+    ``at`` (``at[p-1]`` sits at position p) under the new partner table.
 
     This replays the search's own recurrence from depth 1 down, except that
     a depth whose vertex misses its new deadline closes every deeper depth:
     they get deadline 0 throughout, and a deadline of 0 carries down.
     """
-    for p in range(1, len(at)):
+    n = len(at)
+    for p in range(1, n):
         v = at[p - 1]
-        above, reach, level = due[p], slack[v], due[p + 1]
-        closed = p > above[v]
-        for x in level:
-            level[x] = 0 if closed else min(above[x], p + reach[x])
+        above, level = due[p], due[p + 1]
+        if p > above[v]:
+            level[:] = [0] * n
+            continue
+        level[:] = above
+        for s, x in tight[v]:
+            if s >= n - p:
+                break
+            if p + s < level[x]:
+                level[x] = p + s
 
 
 def branch_and_bound(
@@ -228,16 +252,22 @@ def branch_and_bound(
     a candidate is cut when its partial objective is ``>=`` the incumbent,
     which changes only on strict improvement.
 
-    Each depth keeps two maps over the unplaced vertices, built from its
-    parent's in one pass when v is placed at p: ``link[x]`` rises to
-    ``u[v][x]`` and ``due[x]`` falls to ``p + slack[v][x]``, where
+    Two structures make a node cheap.  The branching order depends only on
+    which vertices are placed, so each placed set's ``_by_link`` order and
+    its links (``link[x]``, the largest ``u[w][x]`` over placed w) are
+    computed once per solve, keyed by the set's bitmask; a new set's links
+    come from its parent's in ascending vertex order, raised by the row of
+    the vertex just placed.  Each depth also keeps a deadline list,
+    ``due[x] = min over placed w of pos[w] + slack[w][x]``, where
     ``_slack_table`` makes ``u[w][x] * (p - pos[w]) >= incumbent`` exactly
-    ``p > pos[w] + slack[w][x]``.  So x is cut at p exactly when
-    ``p > due[x]``, with no pass over the placed set.  Only an improving
-    leaf costs O(n^2): it takes the objective from ``weighted_bandwidth``,
-    rebuilds the slack table and, via ``_tighten``, every live depth's
-    deadlines; a depth whose vertex misses its new deadline closes every
-    deeper depth.
+    ``p > pos[w] + slack[w][x]``; so x is cut at p exactly when
+    ``p > due[x]``, with no pass over the placed set.  Placing v at p
+    copies the parent's list and lowers only v's tight partners, those x
+    with ``slack[v][x] < n - p``, walked in ascending slack order up to the
+    first that cannot bind.  Only an improving leaf costs O(n^2): it takes
+    the objective from ``weighted_bandwidth``, rebuilds the partner table
+    and, via ``_tighten``, every live depth's deadlines; a depth whose
+    vertex misses its new deadline closes every deeper depth.
 
     Stop rules: with the lower bound on, the search ends as soon as the
     incumbent equals it, before the first node if the seed already does.
@@ -264,25 +294,30 @@ def branch_and_bound(
 
     use_lb = cfg.use_lower_bound
     forced = (n + 1) // 2 if cfg.use_symmetry_breaking else 0  # 0: no forced position
-    node_limit = cfg.node_limit
+    node_limit = cfg.node_limit or sys.maxsize  # an int either way: one comparison per node
     deadline = t0 + cfg.time_limit
     best_obj, best = seed_objective, seed
     nodes = 0
     timed_out = False
     pos = [0] * n
-    # due[p] maps each vertex unplaced at position p to the last position it
-    # may take under the incumbent, given the vertices at positions 1..p-1;
-    # _tighten rewrites the live depths' maps in place, so extend's alias sees it
-    due: list[dict[int, int]] = [{}] * (n + 1)
-    slack: list[list[int]] = []
+    # due[p][x]: the last position x may take under the incumbent, given the
+    # vertices at positions 1..p-1 (read only for x unplaced there);
+    # _tighten rewrites the live depths' lists in place, so extend's alias sees it
+    due: list[list[int]] = [[]] * (n + 1)
+    tight: list[list[tuple[int, int]]] = []
+    # each placed set's (branching order, links), keyed by its bitmask
+    by_set: dict[int, tuple[list[int], dict[int, float]]] = {}
 
-    def extend(p: int, link: dict[int, float]) -> None:
-        nonlocal best_obj, best, slack, nodes, timed_out
+    def extend(p: int, placed: int, entry: tuple[list[int], dict[int, float]]) -> None:
+        nonlocal best_obj, best, tight, nodes, timed_out
+        order, link = entry
         due_p = due[p]
-        order = [anchor] if p == forced and not pos[anchor] else _by_link(link)
+        binds = n - p  # a partner's deadline falls only when its slack is below this
+        if p == forced and not pos[anchor]:
+            order = [anchor]
         for v in order:
             nodes += 1
-            if (node_limit is not None and nodes >= node_limit) or (
+            if nodes >= node_limit or (
                 nodes & _CHECK_MASK == 0 and time.perf_counter() >= deadline
             ):
                 timed_out = True
@@ -295,28 +330,36 @@ def branch_and_bound(
                 best_obj = weighted_bandwidth(U, best).value
                 if use_lb and best_obj == lower_bound:
                     raise _Stop
-                slack = _slack_table(u, best_obj)
-                _tighten(slack, best.vertex_at(), due)
+                tight = _tight_partners(u, best_obj)
+                _tighten(tight, best.vertex_at(), due)
             else:
-                row, reach = u[v], slack[v]
-                child_link, child_due = {}, {}
-                for x, a in link.items():
-                    if x != v:
-                        b = row[x]
-                        child_link[x] = a if a > b else b
-                        d, e = due_p[x], p + reach[x]
-                        child_due[x] = d if d < e else e
+                child_due = due_p[:]
+                for s, x in tight[v]:
+                    if s >= binds:
+                        break
+                    s += p
+                    if s < child_due[x]:
+                        child_due[x] = s
                 due[p + 1] = child_due
-                extend(p + 1, child_link)
+                child = placed | 1 << v
+                entry = by_set.get(child)
+                if entry is None:
+                    row = u[v]
+                    child_link = {
+                        x: (a if a > row[x] else row[x]) for x, a in link.items() if x != v
+                    }
+                    entry = by_set[child] = (_by_link(child_link), child_link)
+                extend(p + 1, child, entry)
             pos[v] = 0
 
     if not (use_lb and best_obj == lower_bound):
         timed_out = time.perf_counter() >= deadline
         if not timed_out:
-            slack = _slack_table(u, best_obj)
-            due[1] = dict.fromkeys(range(n), n)
+            tight = _tight_partners(u, best_obj)
+            due[1] = [n] * n
+            root = dict.fromkeys(range(n), 0.0)
             try:
-                extend(1, dict.fromkeys(range(n), 0.0))
+                extend(1, 0, (_by_link(root), root))
             except _Stop:
                 pass
     # extend reaches itself through its closure; break that cycle so the

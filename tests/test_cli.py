@@ -111,3 +111,12 @@ def test_bench_writes_report_and_summary(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--sizes", "5", "--per-size", "1", "--jobs", "2", "--out", str(plain)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("seed", ["-5", "18446744073709551614"])
+def test_gen_batch_checks_every_seed_first(tmp_path, capsys, seed):
+    # seed + 0..2 runs past 2**64 - 1 for the second seed
+    out = tmp_path / "d"
+    assert main(["gen", "--n", "8", "--seed", seed, "--count", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("bandopt: seed ")
+    assert list(tmp_path.iterdir()) == []

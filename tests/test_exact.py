@@ -18,6 +18,7 @@ from bandopt.exact import (
     SolveConfig,
     SolveResult,
     _slack_table,
+    _tight_partners,
     branch_and_bound,
     brute_force,
     default_anchor,
@@ -343,6 +344,19 @@ class TestSlackTable:
         assert _slack_table([[0.0, 1.0], [1.0, 0.0]], 10.0) == [[2, 2], [2, 2]]
         assert _slack_table([[0.0, 5.0], [5.0, 0.0]], 5.0) == [[2, 0], [0, 2]]
 
+    @settings(max_examples=100, deadline=None)
+    @given(_tied_weights(), st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 7.0]))
+    def test_tight_partners(self, U, scale):
+        u, n = U.u.tolist(), U.n
+        bound = scale * float(U.u.max())
+        slack = _slack_table(u, bound)
+        for w, pairs in enumerate(_tight_partners(u, bound)):
+            slacks = [s for s, _ in pairs]
+            assert slacks == sorted(slacks)
+            assert all(s < n for s in slacks)
+            assert w not in [x for _, x in pairs]
+            assert pairs == sorted((slack[w][x], x) for x in range(n) if slack[w][x] < n)
+
 
 def _reference_branch_order(u, pos, placed, p):
     """The branching rule as a scan of the placed set per candidate."""
@@ -414,9 +428,9 @@ def _reference_solve(U, cfg, warm_start):
 
 
 @st.composite
-def _search_cases(draw):
+def _search_cases(draw, sizes=(2, 9), max_nodes=400):
     """Tie-heavy or log-normal weights with any toggles, warm start and node limit."""
-    n = draw(st.integers(min_value=2, max_value=9))
+    n = draw(st.integers(*sizes))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     kind = draw(st.sampled_from(["1-3", "0.3/0.7/1.1", "0.1k", "lognormal"]))
     if kind == "1-3":
@@ -430,8 +444,8 @@ def _search_cases(draw):
     w = np.triu(w, 1)
     U = InteractionMatrix.from_array(w + w.T)
     # unlimited searches stay at n <= 7 to keep the test fast; the node
-    # limits still walk the start of every n = 8-9 tree
-    limits = st.integers(min_value=1, max_value=400)
+    # limits still walk the start of every larger tree
+    limits = st.integers(min_value=1, max_value=max_nodes)
     cfg = SolveConfig(
         use_lower_bound=draw(st.booleans()),
         use_symmetry_breaking=draw(st.booleans()),
@@ -443,14 +457,32 @@ def _search_cases(draw):
     return U, cfg, warm
 
 
+def _assert_same_tree(U, cfg, warm):
+    res = branch_and_bound(U, cfg, warm_start=warm)
+    got = (res.objective, res.status, res.nodes_explored, res.ordering.perm)
+    assert got == _reference_solve(U, cfg, warm)
+
+
 class TestSameTree:
     @settings(max_examples=400, deadline=None)
     @given(_search_cases())
     def test_matches_placed_set_scan(self, case):
-        U, cfg, warm = case
-        res = branch_and_bound(U, cfg, warm_start=warm)
-        got = (res.objective, res.status, res.nodes_explored, res.ordering.perm)
-        assert got == _reference_solve(U, cfg, warm)
+        _assert_same_tree(*case)
+
+    # paper sizes: deeper trees revisit more placed sets and walk longer
+    # partner lists before the first slack that cannot bind
+    @settings(max_examples=150, deadline=None)
+    @given(_search_cases(sizes=(10, 14), max_nodes=5000))
+    def test_matches_placed_set_scan_at_paper_sizes(self, case):
+        _assert_same_tree(*case)
+
+    def test_orders_are_per_solve(self):
+        # the same placed sets recur across these solves with other weights,
+        # so an order kept from an earlier solve would change the tree
+        first, second = (interaction_matrix(generate(12, seed)) for seed in (12000041, 12000042))
+        cfg = SolveConfig(use_lower_bound=False, node_limit=3000)
+        for U in (first, second, first):
+            _assert_same_tree(U, cfg, None)
 
 
 class TestExportLp:
