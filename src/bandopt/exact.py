@@ -29,6 +29,7 @@ STATUS_TIMEOUT = "feasible-timeout"
 
 _BRUTE_FORCE_MAX_N = 10
 _CHECK_MASK = 1023  # periodic deadline/stop checks every 1024 node evaluations
+_ORDER_CACHE_MAX = 4096  # placed sets whose branching order a solve keeps at once
 
 
 @dataclass(frozen=True)
@@ -257,9 +258,11 @@ def branch_and_bound(
     its links (``link[x]``, the largest ``u[w][x]`` over placed w) are
     computed once per solve, keyed by the set's bitmask; a new set's links
     come from its parent's in ascending vertex order, raised by the row of
-    the vertex just placed.  Each depth also keeps a deadline list,
-    ``due[x] = min over placed w of pos[w] + slack[w][x]``, where
-    ``_slack_table`` makes ``u[w][x] * (p - pos[w]) >= incumbent`` exactly
+    the vertex just placed.  The cache is emptied whenever it holds
+    ``_ORDER_CACHE_MAX`` sets, which bounds its memory and, since an entry
+    depends only on its set, changes no order.  Each depth also keeps a
+    deadline list, ``due[x] = min over placed w of pos[w] + slack[w][x]``,
+    where ``_slack_table`` makes ``u[w][x] * (p - pos[w]) >= incumbent`` exactly
     ``p > pos[w] + slack[w][x]``; so x is cut at p exactly when
     ``p > due[x]``, with no pass over the placed set.  Placing v at p
     copies the parent's list and lowers only v's tight partners, those x
@@ -344,6 +347,8 @@ def branch_and_bound(
                 child = placed | 1 << v
                 entry = by_set.get(child)
                 if entry is None:
+                    if len(by_set) >= _ORDER_CACHE_MAX:
+                        by_set.clear()  # an entry depends only on its set: the tree is unchanged
                     row = u[v]
                     child_link = {
                         x: (a if a > row[x] else row[x]) for x, a in link.items() if x != v
