@@ -32,18 +32,19 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     params = _gen_params(args.n, args.r_min, args.box_side)
+    # the seeds are consecutive, so checking both ends, then generating the
+    # first instance, makes a bad seed or box fail before anything is written
+    _check_seed(args.seed)
+    _check_seed(args.seed + args.count - 1)
+    inst = generate(args.n, args.seed, params)
     if args.count == 1:
-        inst = generate(args.n, args.seed, params)
         save(inst, args.out)
         print(f"wrote {inst.id} to {args.out}")
         return 0
-    # the seeds are consecutive, so checking both ends makes a bad seed fail
-    # before the directory or any instance is written
-    _check_seed(args.seed)
-    _check_seed(args.seed + args.count - 1)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for k in range(args.count):
+    save(inst, out_dir / f"{inst.id}.json")
+    for k in range(1, args.count):
         inst = generate(args.n, args.seed + k, params)
         save(inst, out_dir / f"{inst.id}.json")
     print(f"wrote {args.count} instances to {out_dir}")

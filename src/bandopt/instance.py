@@ -28,6 +28,7 @@ DEGREE_CHECK_MIN_N = 10
 _KNN = 4
 _REPAIR_MIN_DEGREE = 3
 _ATTEMPTS_PER_SITE = 1000
+_DISTANCE_ROWS = 128
 
 
 class GenerationError(RuntimeError):
@@ -163,15 +164,36 @@ class InteractionMatrix:
 
 
 def _pairwise_squared_distances(pts: np.ndarray) -> np.ndarray:
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    # row blocks keep the (rows, n, 2) difference temporary small (2 MB at
+    # n = 1000), so the n x n result is the only large array
+    n = len(pts)
+    d2 = np.empty((n, n))
+    for i in range(0, n, _DISTANCE_ROWS):
+        diff = pts[i : i + _DISTANCE_ROWS, None, :] - pts[None, :, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=d2[i : i + _DISTANCE_ROWS])
+    return d2
 
 
 def _sample_separated_points(
     n: int, params: GenParams, rng: np.random.Generator
 ) -> list[tuple[float, float]]:
-    """Rejection-sample n points in the box with pairwise separation >= r_min."""
-    r2 = params.r_min * params.r_min
+    """Rejection-sample n points in the box with pairwise separation >= r_min.
+
+    Attempt k takes uniforms 2k and 2k+1 of ``rng`` as (x, y), scaled by L,
+    and keeps the candidate when ``(x-px)**2 + (y-py)**2 >= r_min**2`` for
+    every kept point.  Uniforms are drawn in blocks, never past the budget.
+    A grid of square cells wider than r_min files each kept point under the
+    3 x 3 cells around its own, so a candidate is tested only against its
+    cell's list, which holds every kept point that could be too close.
+    """
+    L, r_min = params.L, params.r_min
+    r2 = r_min * r_min
+    # the margin keeps a too-close pair in adjacent cells despite rounding;
+    # at least L / ceil(sqrt(n)) keeps the grid at O(n) cells for any r_min
+    side = max(r_min * (1 + 1e-9), L / math.ceil(math.sqrt(n)))
+    stride = int(L / side) + 3  # one border cell each side, so no index wraps
+    near: list[list[tuple[float, float]]] = [[] for _ in range(stride * stride)]
+    block = [di * stride + dj for di in (-1, 0, 1) for dj in (-1, 0, 1)]
     pts: list[tuple[float, float]] = []
     budget = _ATTEMPTS_PER_SITE * n
     attempts = 0
@@ -182,12 +204,19 @@ def _sample_separated_points(
                 f"{params.L:.4g} x {params.L:.4g} box after {budget} attempts "
                 f"({len(pts)} placed)"
             )
-        attempts += 1
-        xy = rng.random(2)
-        x = params.L * float(xy[0])
-        y = params.L * float(xy[1])
-        if all((x - px) ** 2 + (y - py) ** 2 >= r2 for px, py in pts):
-            pts.append((x, y))
+        m = min(2 * (n - len(pts)), budget - attempts)
+        attempts += m
+        for x, y in (L * rng.random((m, 2))).tolist():
+            cell = (int(x / side) + 1) * stride + int(y / side) + 1
+            for px, py in near[cell]:
+                if (x - px) ** 2 + (y - py) ** 2 < r2:
+                    break
+            else:
+                pts.append((x, y))
+                if len(pts) == n:
+                    break
+                for d in block:
+                    near[cell + d].append((x, y))
     return pts
 
 
@@ -246,10 +275,17 @@ def generate(n: int, seed: int, params: GenParams | None = None) -> Instance:
     _check_seed(seed)  # before default_rng, which has its own message for a negative seed
     if params is None:
         params = GenParams.defaults(n)
-    if n * params.r_min**2 > 0.6 * params.L**2:
+    try:
+        packed, area = n * params.r_min**2, params.L**2
+    except OverflowError:  # float ** raises where * would give inf
         raise GenerationError(
-            f"packing infeasible: n*r_min^2 = {n * params.r_min ** 2:.4g} is not "
-            f"comfortably below L^2 = {params.L ** 2:.4g}"
+            f"box side {params.L:.4g} or separation {params.r_min:.4g} is too large: "
+            f"its square overflows a float"
+        ) from None
+    if packed > 0.6 * area:
+        raise GenerationError(
+            f"packing infeasible: n*r_min^2 = {packed:.4g} is not "
+            f"comfortably below L^2 = {area:.4g}"
         )
 
     rng = np.random.default_rng(seed)
@@ -277,8 +313,11 @@ def interaction_matrix(inst: Instance) -> InteractionMatrix:
     d2 = _pairwise_squared_distances(np.asarray(inst.sites))
     np.fill_diagonal(d2, np.inf)  # so the diagonal weight is 1/inf = 0
     with np.errstate(divide="ignore", over="ignore"):
-        u = 1.0 / d2**3  # a d2 that under- or overflows gives inf or 0: rejected
-    return InteractionMatrix(u)
+        # in place, so the one n x n array becomes u; a d2 that under- or
+        # overflows gives inf or 0, which InteractionMatrix rejects
+        d2 **= 3
+        np.divide(1.0, d2, out=d2)
+    return InteractionMatrix(d2)
 
 
 def to_json(inst: Instance) -> str:

@@ -120,3 +120,28 @@ def test_gen_batch_checks_every_seed_first(tmp_path, capsys, seed):
     assert main(["gen", "--n", "8", "--seed", seed, "--count", "3", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("bandopt: seed ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_batch_failing_first_instance_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "d"
+    argv = ["gen", "--n", "8", "--seed", "1", "--r-min", "5", "--box-side", "6", "--count", "3"]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("bandopt: packing infeasible")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("count", ["1", "3"])
+def test_gen_rejects_box_whose_square_overflows(tmp_path, capsys, count):
+    out = tmp_path / "x"
+    argv = ["gen", "--n", "8", "--seed", "1", "--box-side", "1e200", "--count", count]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("bandopt: box side 1e+200 ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_batch_writes_every_seed(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["gen", "--n", "6", "--seed", "4", "--count", "3", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [f"inst-n6-s{s}.json" for s in (4, 5, 6)]
+    for s in (4, 5, 6):
+        assert load(out / f"inst-n6-s{s}.json") == generate(6, s)

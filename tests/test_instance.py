@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bandopt.instance
 from bandopt.instance import (
@@ -64,6 +65,19 @@ class TestGenerate:
         with pytest.raises(GenerationError):
             generate(50, 0, GenParams(L=2.0))
 
+    def test_square_overflow_is_generation_error(self):
+        # L**2 and r_min**2 raise OverflowError past sqrt(max float); the last
+        # side whose square is finite still generates, as before
+        top = math.sqrt(np.finfo(float).max)
+        assert generate(8, 1, GenParams(L=top)).n == 8
+        for params in (
+            GenParams(L=math.nextafter(top, math.inf)),
+            GenParams(L=1e200),
+            GenParams(L=1e100, r_min=1e160),
+        ):
+            with pytest.raises(GenerationError, match="overflows"):
+                generate(8, 1, params)
+
     @pytest.mark.parametrize(
         "params",
         [dict(L=math.nan), dict(L=math.inf), dict(L=10.0, r_min=math.nan), dict(L=-1.0)],
@@ -107,7 +121,8 @@ def _sha256(data: bytes) -> str:
 
 # Digests of generator output recorded before the bond rule moved to numpy's
 # stable argsort.  n = 2 and 5 bond all k = n - 1 nearest; n = 8, 20, 60 and
-# the tight box run both repair and top-up; n = 300 runs repair.
+# the tight box run both repair and top-up; n = 300 runs repair.  n = 1000 was
+# recorded with the all-pairs sampler that the cell grid replaced.
 PINNED_INSTANCES = [
     (2, 2000048, None, "ae4ceb2b77b865aeb02b9bb76ecc4b07357340efbb0c8e0ab2573c8b9f840240"),
     (5, 5000057, None, "6ee823d75fed9ba8d977f1c095f98abdce1c1f731b1810fe4f57f932aa256a62"),
@@ -116,6 +131,7 @@ PINNED_INSTANCES = [
     (60, 60000387, None, "356ddf81e488294ee9010b55d72bbfd4e88748027eb1e46d7196f88d6d294ca5"),
     (300, 300000942, None, "5baee1a97e99900e812864ecfbc6af1e2fc1726320f5b5d8bc065c4b0949fa00"),
     (30, 3, GenParams(L=5.0), "05c99db667d8f85d93451c1b679f677ef0616f34b8ded0b93bb4d7cdf184f4fc"),
+    (1000, 1000003042, None, "cf5565bdb8dd96ee888606253db7c5ed690d2730cb0092059114b8b073b0ef28"),
 ]
 
 PINNED_MATRICES = [
@@ -136,6 +152,79 @@ def test_pinned_instance_bytes(n, seed, params, digest):
 )
 def test_pinned_matrix_bytes(n, seed, digest):
     assert _sha256(interaction_matrix(generate(n, seed)).u.tobytes()) == digest
+
+
+def _reference_sample(n, params, rng):
+    """The all-pairs sampler that the cell grid replaced: one draw per attempt."""
+    r2 = params.r_min * params.r_min
+    pts = []
+    budget = bandopt.instance._ATTEMPTS_PER_SITE * n
+    attempts = 0
+    while len(pts) < n:
+        if attempts >= budget:
+            raise GenerationError(
+                f"could not place {n} sites at separation {params.r_min} in a "
+                f"{params.L:.4g} x {params.L:.4g} box after {budget} attempts "
+                f"({len(pts)} placed)"
+            )
+        attempts += 1
+        xy = rng.random(2)
+        x = params.L * float(xy[0])
+        y = params.L * float(xy[1])
+        if all((x - px) ** 2 + (y - py) ** 2 >= r2 for px, py in pts):
+            pts.append((x, y))
+    return pts
+
+
+def _assert_same_sample(n, seed, params):
+    """Equal points, or an equal GenerationError after drawing the same uniforms."""
+    outcomes = []
+    for sample in (bandopt.instance._sample_separated_points, _reference_sample):
+        rng = np.random.default_rng(seed)
+        try:
+            outcomes.append(sample(n, params, rng))
+        except GenerationError as exc:
+            outcomes.append((str(exc), rng.bit_generator.state))
+    assert outcomes[0] == outcomes[1]
+
+
+class TestSameSample:
+    @pytest.mark.parametrize("n", range(2, 61))
+    def test_default_params(self, n):
+        for seed in (0, 1, 2, n * 1000003):
+            _assert_same_sample(n, seed, GenParams.defaults(n))
+
+    @pytest.mark.parametrize(
+        "n,params",
+        [
+            (30, GenParams(L=5.0)),  # the tight pinned box
+            (50, GenParams(L=2.0)),  # exhausts the budget with 9 placed
+            (8, GenParams(L=1.0, r_min=5e-324)),  # r_min**2 underflows to 0
+            (30, GenParams(L=1e150, r_min=1e149)),
+            (20, GenParams(L=1e153)),  # cells far wider than r_min
+            (20, GenParams(L=1e-150, r_min=1e-151)),
+        ],
+        ids=["tight-box", "budget", "tiny-r_min", "large-L", "huge-L-default-r_min", "tiny-L"],
+    )
+    def test_edge_params(self, n, params):
+        for seed in range(3):
+            _assert_same_sample(n, seed, params)
+
+    def test_budget_exhausted(self):
+        with pytest.raises(GenerationError, match=r"after 50000 attempts \(\d+ placed\)"):
+            bandopt.instance._sample_separated_points(50, GenParams(L=2.0), np.random.default_rng(0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 80),
+        seed=st.integers(0, 2**64 - 1),
+        exponent=st.floats(-6, 6),
+        fill=st.floats(1e-6, 0.8),
+    )
+    def test_feasible_params(self, n, seed, exponent, fill):
+        # r_min = fill * L * sqrt(0.6 / n) passes generate's packing check
+        L = 10.0**exponent
+        _assert_same_sample(n, seed, GenParams(L=L, r_min=fill * L * math.sqrt(0.6 / n)))
 
 
 class TestInteractionMatrix:
