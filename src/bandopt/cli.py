@@ -32,20 +32,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     params = _gen_params(args.n, args.r_min, args.box_side)
-    # the seeds are consecutive, so checking both ends, then generating the
-    # first instance, makes a bad seed or box fail before anything is written
-    _check_seed(args.seed)
+    # generate checks each seed, but a bad last one should fail before the
+    # whole batch is built; nothing is written until every instance exists
     _check_seed(args.seed + args.count - 1)
-    inst = generate(args.n, args.seed, params)
+    insts = [generate(args.n, args.seed + k, params) for k in range(args.count)]
     if args.count == 1:
-        save(inst, args.out)
-        print(f"wrote {inst.id} to {args.out}")
+        save(insts[0], args.out)
+        print(f"wrote {insts[0].id} to {args.out}")
         return 0
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save(inst, out_dir / f"{inst.id}.json")
-    for k in range(1, args.count):
-        inst = generate(args.n, args.seed + k, params)
+    for inst in insts:
         save(inst, out_dir / f"{inst.id}.json")
     print(f"wrote {args.count} instances to {out_dir}")
     return 0

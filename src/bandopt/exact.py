@@ -28,7 +28,7 @@ STATUS_OPTIMAL = "optimal"
 STATUS_TIMEOUT = "feasible-timeout"
 
 _BRUTE_FORCE_MAX_N = 10
-_CHECK_MASK = 1023  # periodic deadline/stop checks every 1024 node evaluations
+_CHECK_MASK = 1023  # the deadline is polled when the node count reaches a multiple of 1024
 _ORDER_CACHE_MAX = 4096  # placed sets whose branching order a solve keeps at once
 
 
@@ -158,15 +158,6 @@ def _slack(w: float, bound: float, n: int) -> int:
     return k
 
 
-def _slack_table(u: list[list[float]], bound: float) -> list[list[int]]:
-    """``slack[w][x]``: how far past w's position x may sit and stay under ``bound``.
-
-    ``u[w][x] * (p - q) >= bound`` exactly when ``p > q + slack[w][x]``.
-    """
-    n = len(u)
-    return [[_slack(w, bound, n) for w in row] for row in u]
-
-
 def _by_link(link: dict[int, float]) -> list[int]:
     """The branching rule: strongest link to the placed set first.
 
@@ -198,17 +189,21 @@ def _greedy_probe(u: list[list[float]]) -> Ordering:
 
 
 def _tight_partners(u: list[list[float]], bound: float) -> list[list[tuple[int, int]]]:
-    """``tight[w]``: the pairs ``(slack[w][x], x)`` of ``_slack_table(u, bound)``
-    with ``slack[w][x] < n``, in ascending slack order.
+    """``tight[w]``: the pairs ``(slack[w][x], x)`` with ``slack[w][x] < n``, in
+    ascending slack order, where ``slack[w][x] = _slack(u[w][x], bound, n)``.
 
+    ``u[w][x] * (p - q) >= bound`` exactly when ``p > q + slack[w][x]``.
     Deadlines never exceed n, so only these x can have their deadline
     lowered by w, and placing w at p lowers one only while
-    ``slack[w][x] < n - p``.  A vertex is never its own partner: its zero
-    diagonal weight has slack n.
+    ``slack[w][x] < n - p``.  The slack is below n exactly when
+    ``u[w][x] * n >= bound``, so ``_slack`` runs on those entries only.  A
+    vertex is never its own partner: its zero diagonal weight has slack n.
     """
     n = len(u)
-    slack = _slack_table(u, bound)
-    return [sorted((s, x) for x, s in enumerate(row) if s < n) for row in slack]
+    return [
+        sorted((_slack(w, bound, n), x) for x, w in enumerate(row) if w * n >= bound)
+        for row in u
+    ]
 
 
 def _tighten(
@@ -262,7 +257,7 @@ def branch_and_bound(
     ``_ORDER_CACHE_MAX`` sets, which bounds its memory and, since an entry
     depends only on its set, changes no order.  Each depth also keeps a
     deadline list, ``due[x] = min over placed w of pos[w] + slack[w][x]``,
-    where ``_slack_table`` makes ``u[w][x] * (p - pos[w]) >= incumbent`` exactly
+    where ``_slack`` makes ``u[w][x] * (p - pos[w]) >= incumbent`` exactly
     ``p > pos[w] + slack[w][x]``; so x is cut at p exactly when
     ``p > due[x]``, with no pass over the placed set.  Placing v at p
     copies the parent's list and lowers only v's tight partners, those x
@@ -272,11 +267,23 @@ def branch_and_bound(
     and, via ``_tighten``, every live depth's deadlines; a depth whose
     vertex misses its new deadline closes every deeper depth.
 
+    Before placing v at p < n the search looks one depth ahead: the child
+    can place x only if ``due[x] > p`` and ``u[v][x] < incumbent`` (that is,
+    ``slack[v][x] >= 1``), and only the anchor when p + 1 is its forced
+    position.  A child where no candidate passes would only count its
+    candidates as cut nodes, so their number is added without building the
+    child's deadlines or calling it.  Node counts are kept in a local per
+    depth and checked against one threshold, the node limit or the next
+    multiple of 1024, whichever comes first.  A count that jumps past the
+    node limit over a skipped child is reported as exactly the limit: the
+    candidates between change no state.
+
     Stop rules: with the lower bound on, the search ends as soon as the
     incumbent equals it, before the first node if the seed already does.
     Otherwise a deadline already passed before the first node, the node
-    limit, or the deadline checked every 1024 nodes stops the search with
-    status "feasible-timeout"; natural termination is "optimal".
+    limit, or the deadline, polled at least once every 1024 + n nodes,
+    stops the search with status "feasible-timeout"; natural termination
+    is "optimal".
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -300,7 +307,8 @@ def branch_and_bound(
     node_limit = cfg.node_limit or sys.maxsize  # an int either way: one comparison per node
     deadline = t0 + cfg.time_limit
     best_obj, best = seed_objective, seed
-    nodes = 0
+    nodes = 0  # written by extend only around calls, leaves and stops
+    check_at = min(node_limit, _CHECK_MASK + 1)  # the node count at which tick next runs
     timed_out = False
     pos = [0] * n
     # due[p][x]: the last position x may take under the incumbent, given the
@@ -311,51 +319,88 @@ def branch_and_bound(
     # each placed set's (branching order, links), keyed by its bitmask
     by_set: dict[int, tuple[list[int], dict[int, float]]] = {}
 
+    def tick(k: int) -> None:
+        """Stop at the node limit or past the deadline, else set the next check."""
+        nonlocal nodes, check_at, timed_out
+        if k >= node_limit:
+            nodes = node_limit  # a count past it was made of cut candidates only
+        elif time.perf_counter() >= deadline:
+            nodes = k
+        else:
+            check_at = min(node_limit, (k | _CHECK_MASK) + 1)
+            return
+        timed_out = True
+        raise _Stop
+
     def extend(p: int, placed: int, entry: tuple[list[int], dict[int, float]]) -> None:
-        nonlocal best_obj, best, tight, nodes, timed_out
-        order, link = entry
+        nonlocal best_obj, best, tight, nodes
+        order, link = entry  # link's keys: the unplaced vertices
         due_p = due[p]
         binds = n - p  # a partner's deadline falls only when its slack is below this
         if p == forced and not pos[anchor]:
             order = [anchor]
+        # the child at p + 1 tries only the anchor when it is the forced depth
+        lone = anchor if p + 1 == forced and not pos[anchor] else -1
+        k = nodes
         for v in order:
-            nodes += 1
-            if nodes >= node_limit or (
-                nodes & _CHECK_MASK == 0 and time.perf_counter() >= deadline
-            ):
-                timed_out = True
-                raise _Stop
+            k += 1
+            if k >= check_at:
+                tick(k)
             if p > due_p[v]:
                 continue
-            pos[v] = p
             if p == n:
+                pos[v] = p
+                nodes = k
                 best = Ordering(tuple(pos))
                 best_obj = weighted_bandwidth(U, best).value
                 if use_lb and best_obj == lower_bound:
                     raise _Stop
                 tight = _tight_partners(u, best_obj)
                 _tighten(tight, best.vertex_at(), due)
+                pos[v] = 0
+                continue
+            # look ahead: the child can place x only if x passes both due_p
+            # and v's own cut, u[v][x] < incumbent (slack[v][x] >= 1)
+            row = u[v]
+            if lone >= 0 and v != lone:
+                dead = due_p[lone] <= p or row[lone] >= best_obj
+                width = 1
             else:
-                child_due = due_p[:]
-                for s, x in tight[v]:
-                    if s >= binds:
+                for x in link:
+                    if due_p[x] > p and row[x] < best_obj and x != v:
+                        dead = False
                         break
-                    s += p
-                    if s < child_due[x]:
-                        child_due[x] = s
-                due[p + 1] = child_due
-                child = placed | 1 << v
-                entry = by_set.get(child)
-                if entry is None:
-                    if len(by_set) >= _ORDER_CACHE_MAX:
-                        by_set.clear()  # an entry depends only on its set: the tree is unchanged
-                    row = u[v]
-                    child_link = {
-                        x: (a if a > row[x] else row[x]) for x, a in link.items() if x != v
-                    }
-                    entry = by_set[child] = (_by_link(child_link), child_link)
-                extend(p + 1, child, entry)
+                else:
+                    dead = True
+                width = binds
+            if dead:  # the child would only count its candidates, all cut
+                k += width
+                if k >= check_at:
+                    tick(k)
+                continue
+            child_due = due_p[:]
+            for s, x in tight[v]:
+                if s >= binds:
+                    break
+                s += p
+                if s < child_due[x]:
+                    child_due[x] = s
+            due[p + 1] = child_due
+            child = placed | 1 << v
+            child_entry = by_set.get(child)
+            if child_entry is None:
+                if len(by_set) >= _ORDER_CACHE_MAX:
+                    by_set.clear()  # an entry depends only on its set: the tree is unchanged
+                child_link = {
+                    x: (a if a > row[x] else row[x]) for x, a in link.items() if x != v
+                }
+                child_entry = by_set[child] = (_by_link(child_link), child_link)
+            pos[v] = p
+            nodes = k
+            extend(p + 1, child, child_entry)
+            k = nodes
             pos[v] = 0
+        nodes = k
 
     if not (use_lb and best_obj == lower_bound):
         timed_out = time.perf_counter() >= deadline
@@ -369,7 +414,7 @@ def branch_and_bound(
                 pass
     # extend reaches itself through its closure; break that cycle so the
     # search state is freed now rather than by the cyclic garbage collector
-    del extend
+    del extend, tick
 
     return SolveResult(
         ordering=best,

@@ -74,8 +74,12 @@ def weighted_bandwidth(U: InteractionMatrix, ordering: Ordering) -> Bandwidth:
     n = U.n
     if ordering.n != n:
         raise ValueError(f"ordering covers {ordering.n} vertices, matrix has {n}")
-    p = np.asarray(ordering.perm)
-    cost = U.u * np.abs(p[:, None] - p)
+    # one n x n array: the position differences as floats (exact, as n is far
+    # below 2**53), made absolute and multiplied by the weights in place
+    p = np.asarray(ordering.perm, dtype=float)
+    cost = np.subtract.outer(p, p)
+    np.abs(cost, out=cost)
+    cost *= U.u
     # cost is symmetric with a zero diagonal, so the first row-major maximum
     # lies above the diagonal: it is the smallest attaining (i, j) with i < j
     k = int(cost.argmax())

@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+from bandopt import cli
 from bandopt.cli import main
 from bandopt.exact import export_lp
 from bandopt.harness import load_report, report_to_csv
 from bandopt.instance import (
+    GenerationError,
     GenParams,
     Instance,
     generate,
@@ -127,6 +129,19 @@ def test_gen_batch_failing_first_instance_writes_nothing(tmp_path, capsys):
     argv = ["gen", "--n", "8", "--seed", "1", "--r-min", "5", "--box-side", "6", "--count", "3"]
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("bandopt: packing infeasible")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_batch_failing_later_instance_writes_nothing(tmp_path, capsys, monkeypatch):
+    def generate_until_third(n, seed, params=None):
+        if seed == 3:
+            raise GenerationError(f"no instance for seed {seed}")
+        return generate(n, seed, params)
+
+    monkeypatch.setattr(cli, "generate", generate_until_third)
+    out = tmp_path / "d"
+    assert main(["gen", "--n", "6", "--seed", "1", "--count", "4", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("bandopt: no instance for seed 3")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -19,7 +19,7 @@ from bandopt.exact import (
     STATUS_TIMEOUT,
     SolveConfig,
     SolveResult,
-    _slack_table,
+    _slack,
     _tight_partners,
     branch_and_bound,
     brute_force,
@@ -321,6 +321,17 @@ def _slack_by_definition(w, bound, n):
     return max(k for k in range(n + 1) if w * k < bound)
 
 
+def _slack_table(u, bound):
+    """``slack[w][x]``: how far past w's position x may sit and stay under ``bound``.
+
+    ``u[w][x] * (p - q) >= bound`` exactly when ``p > q + slack[w][x]``.
+    The whole table, which the search never builds: the reference that
+    ``_slack`` and the partner lists of ``_tight_partners`` are checked on.
+    """
+    n = len(u)
+    return [[_slack(w, bound, n) for w in row] for row in u]
+
+
 class TestSlackTable:
     # tie-heavy weights; for 0.1*k, 0.3 and 0.7 the product w*k rounds, so a
     # bound equal to w*k can divide back to slightly more than k
@@ -371,11 +382,13 @@ def _reference_branch_order(u, pos, placed, p):
     return sorted(scored)
 
 
-def _reference_solve(U, cfg, warm_start):
+def _reference_solve(U, cfg, warm_start, incumbents=None):
     """The search with the placed-set scan: (objective, status, nodes, perm).
 
     The same-tree reference for ``branch_and_bound``: seed, probe, candidate
-    order, cuts and node counting, without the time limit.
+    order, cuts and node counting, without the time limit.  ``incumbents``,
+    when given, receives ``(nodes, objective, perm)`` for the seed and for
+    every improving leaf, ``nodes`` counting that leaf.
     """
     n, u = U.n, U.u.tolist()
     lower_bound = theoretical_lower_bound(U)
@@ -393,6 +406,8 @@ def _reference_solve(U, cfg, warm_start):
         seed = seed.reversed()
     forced = (n + 1) // 2 if cfg.use_symmetry_breaking else 0
     state = {"obj": weighted_bandwidth(U, seed).value, "perm": seed.perm, "nodes": 0}
+    if incumbents is not None:
+        incumbents.append((0, state["obj"], state["perm"]))
     pos, placed = [0] * n, []
 
     def extend(p, partial):
@@ -409,6 +424,8 @@ def _reference_solve(U, cfg, warm_start):
             pos[v] = p
             if p == n:
                 state["obj"], state["perm"] = new, tuple(pos)
+                if incumbents is not None:
+                    incumbents.append((state["nodes"], new, state["perm"]))
                 if cfg.use_lower_bound and new == lower_bound:
                     return STATUS_OPTIMAL
             else:
@@ -501,6 +518,43 @@ class TestSameTree:
             full.objective, full.status, full.nodes_explored, full.ordering
         )
         assert peak < 150_000
+
+
+class TestLimits:
+    def test_every_node_limit_matches_reference(self):
+        # 1,925 nodes, improving at nodes 141, 450 and 1,925 (the bound stop);
+        # the limits fall on live candidates, on cut ones and inside the
+        # children that the look-ahead counts without entering
+        U = interaction_matrix(generate(11, 11000108))
+        incumbents = []
+        full = _reference_solve(U, SolveConfig(), None, incumbents)
+        assert [i[0] for i in incumbents] == [0, 141, 450, 1925]
+        for limit in range(1, full[2] + 2):
+            if limit > full[2]:
+                expected = full
+            else:
+                _, objective, perm = [i for i in incumbents if i[0] < limit][-1]
+                expected = (objective, STATUS_TIMEOUT, limit, perm)
+            if limit % 97 == 1:
+                assert _reference_solve(U, SolveConfig(node_limit=limit), None) == expected
+            res = branch_and_bound(U, SolveConfig(node_limit=limit))
+            assert (res.objective, res.status, res.nodes_explored, res.ordering.perm) == expected
+
+    @pytest.mark.parametrize(
+        "n,seed,lb,node_limit", [(9, 9000080, True, None), (20, 20000103, False, 25_000)]
+    )
+    def test_deadline_polled_every_1024_nodes(self, monkeypatch, n, seed, lb, node_limit):
+        # no time limit is reached, so only the count of clock reads shows the polls
+        calls = []
+        clock = time.perf_counter
+        monkeypatch.setattr(time, "perf_counter", lambda: calls.append(None) or clock())
+        res = branch_and_bound(
+            interaction_matrix(generate(n, seed)),
+            SolveConfig(use_lower_bound=lb, node_limit=node_limit),
+        )
+        polls = len(calls) - 3  # the start, the check before the first node, the wall time
+        assert res.nodes_explored // (1024 + n) <= polls <= res.nodes_explored // 1024
+        assert polls > 0
 
 
 class TestExportLp:

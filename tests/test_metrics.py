@@ -146,6 +146,19 @@ class TestWeightedBandwidth:
         assert type(bw.value) is float
         assert all(type(x) is int for x in bw.argpair)
 
+    @pytest.mark.parametrize("n", [2, 8, 1000])
+    def test_same_floats_as_integer_differences(self, n):
+        # the earlier formula: int64 position differences, abs, then the product
+        U = interaction_matrix(generate(n, 4242 + n))
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            ordering = Ordering(tuple(int(p) + 1 for p in rng.permutation(n)))
+            p = np.asarray(ordering.perm)
+            cost = U.u * np.abs(p[:, None] - p)
+            k = int(cost.argmax())
+            bw = weighted_bandwidth(U, ordering)
+            assert (bw.value, bw.argpair) == (cost.item(k), divmod(k, n))
+
     @settings(max_examples=200, deadline=None)
     @given(_matrix_and_ordering())
     def test_reversal_invariance(self, pair):
