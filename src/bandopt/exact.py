@@ -14,7 +14,7 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,8 @@ class SolveConfig:
     the incumbent matches it; ``use_symmetry_breaking`` confines the anchor
     vertex, always ``default_anchor``, to the first half of the positions.
     Node counts are reproducible for every configuration.  Construction
-    checks ``time_limit > 0`` and ``node_limit >= 1``.
+    checks ``time_limit > 0`` and that ``node_limit`` is an int (not a
+    bool) of at least 1.
     """
 
     use_lower_bound: bool = True
@@ -51,8 +52,9 @@ class SolveConfig:
     def __post_init__(self):
         if not self.time_limit > 0:  # also rejects NaN, which no deadline would ever reach
             raise ValueError(f"time_limit must be positive, got {self.time_limit}")
-        if self.node_limit is not None and self.node_limit < 1:
-            raise ValueError(f"node_limit must be at least 1, got {self.node_limit}")
+        limit = self.node_limit
+        if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool) or limit < 1):
+            raise ValueError(f"node_limit must be an int of at least 1, got {limit!r}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,8 @@ class SolveResult:
     """Outcome of an exact solve (or of the oracle enumeration).
 
     Construction checks the certificate: ``0 <= lower_bound <= objective``
-    with a finite objective, a known status, ``nodes_explored >= 0`` and a
-    finite ``wall_time >= 0``.  A violation raises SchemaError naming the
+    with a finite objective, a known status, an int ``nodes_explored >= 0``
+    and a finite ``wall_time >= 0``.  A violation raises SchemaError naming the
     field as the result document spells it.
     """
 
@@ -81,8 +83,9 @@ class SolveResult:
             )
         if self.status not in (STATUS_OPTIMAL, STATUS_TIMEOUT):
             raise SchemaError("status", f'unknown status "{self.status}"')
-        if self.nodes_explored < 0:
-            raise SchemaError("nodes", f"nodes must be >= 0, got {self.nodes_explored}")
+        nodes = self.nodes_explored
+        if not isinstance(nodes, int) or isinstance(nodes, bool) or nodes < 0:
+            raise SchemaError("nodes", f"nodes must be an int >= 0, got {nodes!r}")
         if not 0 <= self.wall_time < math.inf:
             raise SchemaError(
                 "wall_time_s", f"wall_time_s must be finite and >= 0, got {self.wall_time}"
@@ -168,23 +171,27 @@ def _by_link(link: dict[int, float]) -> list[int]:
     return sorted(link, key=link.__getitem__, reverse=True)
 
 
+def _raised(link: dict[int, float], row: list[float], v: int) -> dict[int, float]:
+    """The links once v is placed: v's entry dropped, the rest raised by v's row."""
+    return {x: (a if a > row[x] else row[x]) for x, a in link.items() if x != v}
+
+
 def _greedy_probe(u: list[list[float]]) -> Ordering:
     """Construct one ordering by the search's own branching rule.
 
-    Starts from vertex 0 and repeatedly appends the first vertex of
-    ``_by_link``, raising the links by the new vertex's row as the search
-    does.  Seeding the incumbent with this dive makes the first feasible
-    solution independent of the pruning configuration.
+    From all-zero links, where ``_by_link`` picks vertex 0, it repeatedly
+    places the first vertex of ``_by_link``, raising the links as the
+    search does.  Seeding the incumbent with this dive makes the first
+    feasible solution independent of the pruning configuration, so it
+    ignores the forced anchor; the seed is reversed if the anchor lands
+    in the second half.
     """
     pos = [0] * len(u)
-    pos[0] = 1
-    row = u[0]
-    link = {x: row[x] for x in range(1, len(u))}
-    for p in range(2, len(u) + 1):
+    link = dict.fromkeys(range(len(u)), 0.0)
+    for p in range(1, len(u) + 1):
         v = _by_link(link)[0]
         pos[v] = p
-        row = u[v]
-        link = {x: (a if a > row[x] else row[x]) for x, a in link.items() if x != v}
+        link = _raised(link, u[v], v)
     return Ordering(tuple(pos))
 
 
@@ -241,21 +248,22 @@ def branch_and_bound(
     The incumbent starts from the better of ``warm_start`` (the identity
     ordering when absent) and a greedy construction dive, then is
     reversal-normalized so the anchor sits in the first half of the
-    positions.  Positions are then filled left to right, candidates in
-    ``_by_link`` order; with symmetry breaking on, the anchor is forced into
-    position ``ceil(n/2)`` if it is still unplaced there.  A node is one
+    positions.  Positions are then filled left to right, each depth trying
+    the candidates of its placed set's branching order.  A node is one
     candidate (vertex, position) evaluation, counted before the prune test;
     a candidate is cut when its partial objective is ``>=`` the incumbent,
     which changes only on strict improvement.
 
     Two structures make a node cheap.  The branching order depends only on
-    which vertices are placed, so each placed set's ``_by_link`` order and
-    its links (``link[x]``, the largest ``u[w][x]`` over placed w) are
+    which vertices are placed, so each placed set's entry, its order and
+    its links (``link[x]``, the largest ``u[w][x]`` over placed w), is
     computed once per solve, keyed by the set's bitmask; a new set's links
-    come from its parent's in ascending vertex order, raised by the row of
-    the vertex just placed.  The cache is emptied whenever it holds
-    ``_ORDER_CACHE_MAX`` sets, which bounds its memory and, since an entry
-    depends only on its set, changes no order.  Each depth also keeps a
+    are its parent's raised by the row of the vertex just placed.  The
+    entry carries the symmetry rule: at the forced depth a set without the
+    anchor has the order ``[anchor]``, every other set ``_by_link``'s.  The
+    cache is emptied whenever it holds ``_ORDER_CACHE_MAX`` sets, which
+    bounds its memory and, since an entry depends only on its set, changes
+    no order.  Each depth also keeps a
     deadline list, ``due[x] = min over placed w of pos[w] + slack[w][x]``,
     where ``_slack`` makes ``u[w][x] * (p - pos[w]) >= incumbent`` exactly
     ``p > pos[w] + slack[w][x]``; so x is cut at p exactly when
@@ -267,12 +275,12 @@ def branch_and_bound(
     and, via ``_tighten``, every live depth's deadlines; a depth whose
     vertex misses its new deadline closes every deeper depth.
 
-    Before placing v at p < n the search looks one depth ahead: the child
-    can place x only if ``due[x] > p`` and ``u[v][x] < incumbent`` (that is,
-    ``slack[v][x] >= 1``), and only the anchor when p + 1 is its forced
-    position.  A child where no candidate passes would only count its
-    candidates as cut nodes, so their number is added without building the
-    child's deadlines or calling it.  Node counts are kept in a local per
+    Before placing v at p < n the search looks one depth ahead over the
+    child entry's order: the child can place x only if ``due[x] > p`` and
+    ``u[v][x] < incumbent`` (that is, ``slack[v][x] >= 1``).  A child where
+    no candidate passes would only count its candidates as cut nodes, so
+    the length of its order is added without building the child's
+    deadlines or calling it.  Node counts are kept in a local per
     depth and checked against one threshold, the node limit or the next
     multiple of 1024, whichever comes first.  A count that jumps past the
     node limit over a skipped child is reported as exactly the limit: the
@@ -310,7 +318,7 @@ def branch_and_bound(
     nodes = 0  # written by extend only around calls, leaves and stops
     check_at = min(node_limit, _CHECK_MASK + 1)  # the node count at which tick next runs
     timed_out = False
-    pos = [0] * n
+    pos = [0] * n  # read only at a leaf, where every entry was written on the current path
     # due[p][x]: the last position x may take under the incumbent, given the
     # vertices at positions 1..p-1 (read only for x unplaced there);
     # _tighten rewrites the live depths' lists in place, so extend's alias sees it
@@ -332,15 +340,23 @@ def branch_and_bound(
         timed_out = True
         raise _Stop
 
+    def enter(placed: int, link: dict[int, float]) -> tuple[list[int], dict[int, float]]:
+        """Cache and return the placed set's (branching order, links).
+
+        A set at the forced depth, which leaves ``n + 1 - forced`` vertices
+        unplaced, branches on the anchor alone while the anchor is unplaced.
+        """
+        if len(by_set) >= _ORDER_CACHE_MAX:
+            by_set.clear()  # an entry depends only on its set: the tree is unchanged
+        at_forced = len(link) == n + 1 - forced and anchor in link  # never when forced is 0
+        by_set[placed] = entry = ([anchor] if at_forced else _by_link(link), link)
+        return entry
+
     def extend(p: int, placed: int, entry: tuple[list[int], dict[int, float]]) -> None:
         nonlocal best_obj, best, tight, nodes
         order, link = entry  # link's keys: the unplaced vertices
         due_p = due[p]
         binds = n - p  # a partner's deadline falls only when its slack is below this
-        if p == forced and not pos[anchor]:
-            order = [anchor]
-        # the child at p + 1 tries only the anchor when it is the forced depth
-        lone = anchor if p + 1 == forced and not pos[anchor] else -1
         k = nodes
         for v in order:
             k += 1
@@ -348,8 +364,8 @@ def branch_and_bound(
                 tick(k)
             if p > due_p[v]:
                 continue
+            pos[v] = p
             if p == n:
-                pos[v] = p
                 nodes = k
                 best = Ordering(tuple(pos))
                 best_obj = weighted_bandwidth(U, best).value
@@ -357,24 +373,18 @@ def branch_and_bound(
                     raise _Stop
                 tight = _tight_partners(u, best_obj)
                 _tighten(tight, best.vertex_at(), due)
-                pos[v] = 0
                 continue
+            row = u[v]
+            child = placed | 1 << v
+            child_entry = by_set.get(child) or enter(child, _raised(link, row, v))
             # look ahead: the child can place x only if x passes both due_p
             # and v's own cut, u[v][x] < incumbent (slack[v][x] >= 1)
-            row = u[v]
-            if lone >= 0 and v != lone:
-                dead = due_p[lone] <= p or row[lone] >= best_obj
-                width = 1
-            else:
-                for x in link:
-                    if due_p[x] > p and row[x] < best_obj and x != v:
-                        dead = False
-                        break
-                else:
-                    dead = True
-                width = binds
-            if dead:  # the child would only count its candidates, all cut
-                k += width
+            child_order = child_entry[0]
+            for x in child_order:
+                if due_p[x] > p and row[x] < best_obj:
+                    break
+            else:  # the child would only count its candidates, all cut
+                k += len(child_order)
                 if k >= check_at:
                     tick(k)
                 continue
@@ -386,20 +396,9 @@ def branch_and_bound(
                 if s < child_due[x]:
                     child_due[x] = s
             due[p + 1] = child_due
-            child = placed | 1 << v
-            child_entry = by_set.get(child)
-            if child_entry is None:
-                if len(by_set) >= _ORDER_CACHE_MAX:
-                    by_set.clear()  # an entry depends only on its set: the tree is unchanged
-                child_link = {
-                    x: (a if a > row[x] else row[x]) for x, a in link.items() if x != v
-                }
-                child_entry = by_set[child] = (_by_link(child_link), child_link)
-            pos[v] = p
             nodes = k
             extend(p + 1, child, child_entry)
             k = nodes
-            pos[v] = 0
         nodes = k
 
     if not (use_lb and best_obj == lower_bound):
@@ -407,9 +406,8 @@ def branch_and_bound(
         if not timed_out:
             tight = _tight_partners(u, best_obj)
             due[1] = [n] * n
-            root = dict.fromkeys(range(n), 0.0)
             try:
-                extend(1, 0, (_by_link(root), root))
+                extend(1, 0, enter(0, dict.fromkeys(range(n), 0.0)))
             except _Stop:
                 pass
     # extend reaches itself through its closure; break that cycle so the
@@ -454,9 +452,17 @@ def export_lp(
     row and the ``sym`` anchor row.  Vertex v's position is written as
     ``x_v{v}_i1 + 2 x_v{v}_i2 + ... + n x_v{v}_in``.  Rows are written as
     they are built, so no copy of the whole model (6.5 MB at n = 60) is held.
+    A weight whose reciprocal, the coefficient of ``b``, overflows to inf
+    raises ValueError naming its pair before the file is opened.
     """
     if cfg is None:
         cfg = SolveConfig()
+    u = U.u.tolist()
+    for v, w in combinations(range(U.n), 2):
+        if math.isinf(1.0 / u[v][w]):
+            raise ValueError(
+                f"weight u[{v}][{w}] = {u[v][w]!r} has no finite reciprocal for row bw_{v}_{w}"
+            )
     with Path(path).open("w", encoding="utf-8") as f:
         f.writelines(f"{row}\n" for row in _lp_rows(U, cfg))
 

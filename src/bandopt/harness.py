@@ -110,7 +110,8 @@ def run_suite(
     back sorted by (n, replicate).
 
     Args:
-        sizes: instance sizes to cover, at least one.
+        sizes: instance sizes to cover, at least one, none repeated (a
+            repeated size would solve and count its instances twice).
         per_size: replicates per size, at least 1.
         seed0: base seed for the whole suite.
         cfg: solver configuration (default: SolveConfig()).
@@ -120,6 +121,8 @@ def run_suite(
     """
     if not sizes:
         raise ValueError("sizes must be non-empty")
+    if len(set(sizes)) != len(sizes):
+        raise ValueError(f"sizes must not repeat, got {sizes}")
     if per_size < 1:
         raise ValueError(f"per_size must be at least 1, got {per_size}")
     if jobs < 1:

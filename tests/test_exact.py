@@ -218,8 +218,11 @@ class TestBranchAndBound:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(time_limit=0.0), dict(time_limit=-1.0), dict(time_limit=math.nan), dict(node_limit=0)],
-        ids=["zero-time", "negative-time", "nan-time", "zero-nodes"],
+        [
+            dict(time_limit=0.0), dict(time_limit=-1.0), dict(time_limit=math.nan),
+            dict(node_limit=0), dict(node_limit=2.5), dict(node_limit=True),
+        ],
+        ids=["zero-time", "negative-time", "nan-time", "zero-nodes", "fractional-nodes", "bool-nodes"],
     )
     def test_config_rejected_at_construction(self, kwargs):
         with pytest.raises(ValueError):
@@ -501,7 +504,7 @@ class TestSameTree:
             _assert_same_tree(U, cfg, None)
 
     def test_order_cache_is_bounded(self, monkeypatch):
-        # this solve reaches 916 placed sets, about 0.45 MB of orders and links
+        # this solve reaches 917 placed sets, about 0.44 MB of orders and links
         # when all are kept; a full cache is emptied, which changes no order
         # and so not the tree
         U = interaction_matrix(generate(20, 20000042))
@@ -608,6 +611,15 @@ class TestExportLp:
         path = tmp_path / "x.lp"
         with pytest.raises(ValueError):
             export_lp(interaction_matrix(generate(4, 1)), SolveConfig(time_limit=math.nan), path)
+        assert not path.exists()
+
+    def test_rejects_weight_without_finite_reciprocal(self, tmp_path):
+        # 1.0 / 1e-320 overflows, so row bw_0_2 would read "- inf b"
+        w = np.ones((3, 3)) - np.eye(3)
+        w[0, 2] = w[2, 0] = 1e-320
+        path = tmp_path / "x.lp"
+        with pytest.raises(ValueError, match=r"u\[0\]\[2\]"):
+            export_lp(InteractionMatrix.from_array(w), None, path)
         assert not path.exists()
 
     def test_rejects_single_vertex(self, tmp_path):
@@ -734,11 +746,14 @@ class TestResultSerialization:
             (dict(lower_bound=math.nan), "lower_bound"),
             (dict(status="banana"), "status"),
             (dict(nodes_explored=-1), "nodes"),
+            (dict(nodes_explored=2.5), "nodes"),
+            (dict(nodes_explored=True), "nodes"),
             (dict(wall_time=math.nan), "wall_time_s"),
         ],
         ids=[
             "infinite-objective", "negative-objective", "bound-above-objective",
-            "nan-bound", "unknown-status", "negative-nodes", "nan-wall-time",
+            "nan-bound", "unknown-status", "negative-nodes", "fractional-nodes",
+            "bool-nodes", "nan-wall-time",
         ],
     )
     def test_constructor_rejects(self, edit, field):

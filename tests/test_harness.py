@@ -113,6 +113,11 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite([], per_size=1, seed0=0)
 
+    def test_repeated_size_rejected(self):
+        # a repeated size would return, and summarize would count, each instance twice
+        with pytest.raises(ValueError):
+            run_suite([5, 5], per_size=2, seed0=42)
+
     def test_zero_per_size_rejected(self):
         with pytest.raises(ValueError):
             run_suite([5], per_size=0, seed0=0)
