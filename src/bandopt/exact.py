@@ -14,12 +14,20 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
 
-from .instance import InteractionMatrix, SchemaError, _dump_doc, _parse_doc, _require
+from .instance import (
+    InteractionMatrix,
+    SchemaError,
+    _dump_doc,
+    _is_number,
+    _parse_doc,
+    _read_doc,
+    _require,
+)
 from .metrics import Ordering, _ordering_field, weighted_bandwidth
 
 SCHEMA_RESULT = "bandopt-result/1"
@@ -40,8 +48,8 @@ class SolveConfig:
     the incumbent matches it; ``use_symmetry_breaking`` confines the anchor
     vertex, always ``default_anchor``, to the first half of the positions.
     Node counts are reproducible for every configuration.  Construction
-    checks ``time_limit > 0`` and that ``node_limit`` is an int (not a
-    bool) of at least 1.
+    checks that ``time_limit`` is an int or float (not a bool) above 0 and
+    that ``node_limit`` is an int (not a bool) of at least 1.
     """
 
     use_lower_bound: bool = True
@@ -50,8 +58,9 @@ class SolveConfig:
     node_limit: int | None = None
 
     def __post_init__(self):
-        if not self.time_limit > 0:  # also rejects NaN, which no deadline would ever reach
-            raise ValueError(f"time_limit must be positive, got {self.time_limit}")
+        limit = self.time_limit
+        if not (_is_number(limit) and limit > 0):  # also rejects NaN: no deadline would pass
+            raise ValueError(f"time_limit must be a positive number, got {limit!r}")
         limit = self.node_limit
         if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool) or limit < 1):
             raise ValueError(f"node_limit must be an int of at least 1, got {limit!r}")
@@ -140,7 +149,7 @@ def brute_force(U: InteractionMatrix) -> SolveResult:
 
 
 class _Stop(Exception):
-    """Internal signal: abandon the search."""
+    """Internal signal: abandon the search; ``args[0]`` is the node count."""
 
 
 def _slack(w: float, bound: float, n: int) -> int:
@@ -213,29 +222,25 @@ def _tight_partners(u: list[list[float]], bound: float) -> list[list[tuple[int, 
     ]
 
 
-def _tighten(
-    tight: list[list[tuple[int, int]]], at: tuple[int, ...], due: list[list[int]]
-) -> None:
-    """Rebuild, in place, the deadline lists of every depth along the path
-    ``at`` (``at[p-1]`` sits at position p) under the new partner table.
+def _deadlines(tight: list[list[tuple[int, int]]], at: tuple[int, ...], p: int) -> list[int]:
+    """Depth p's deadline list for the path ``at`` (``at[q-1]`` sits at q).
 
-    This replays the search's own recurrence from depth 1 down, except that
-    a depth whose vertex misses its new deadline closes every deeper depth:
-    they get deadline 0 throughout, and a deadline of 0 carries down.
+    This replays the search's own recurrence over positions 1..p-1, except
+    that the list is all zeros when a vertex on that prefix misses its own
+    deadline: such a depth is closed, and every candidate at it is cut.
     """
     n = len(at)
-    for p in range(1, n):
-        v = at[p - 1]
-        above, level = due[p], due[p + 1]
-        if p > above[v]:
-            level[:] = [0] * n
-            continue
-        level[:] = above
+    due = [n] * n
+    for q in range(1, p):
+        v = at[q - 1]
+        if q > due[v]:
+            return [0] * n
         for s, x in tight[v]:
-            if s >= n - p:
+            if s >= n - q:
                 break
-            if p + s < level[x]:
-                level[x] = p + s
+            if q + s < due[x]:
+                due[x] = q + s
+    return due
 
 
 def branch_and_bound(
@@ -263,28 +268,32 @@ def branch_and_bound(
     anchor has the order ``[anchor]``, every other set ``_by_link``'s.  The
     cache is emptied whenever it holds ``_ORDER_CACHE_MAX`` sets, which
     bounds its memory and, since an entry depends only on its set, changes
-    no order.  Each depth also keeps a
-    deadline list, ``due[x] = min over placed w of pos[w] + slack[w][x]``,
+    no order.  Each depth also owns a deadline list, handed to it by its
+    parent, ``due[x] = min(n, min over placed w of pos[w] + slack[w][x])``,
     where ``_slack`` makes ``u[w][x] * (p - pos[w]) >= incumbent`` exactly
     ``p > pos[w] + slack[w][x]``; so x is cut at p exactly when
     ``p > due[x]``, with no pass over the placed set.  Placing v at p
     copies the parent's list and lowers only v's tight partners, those x
     with ``slack[v][x] < n - p``, walked in ascending slack order up to the
-    first that cannot bind.  Only an improving leaf costs O(n^2): it takes
-    the objective from ``weighted_bandwidth``, rebuilds the partner table
-    and, via ``_tighten``, every live depth's deadlines; a depth whose
-    vertex misses its new deadline closes every deeper depth.
+    first that cannot bind.  An improving leaf takes the objective from
+    ``weighted_bandwidth`` and rebuilds the partner table, O(n^2).  No
+    other depth's list is touched then: each depth, when a child returns
+    under a new table, rebuilds its own with ``_deadlines``, which replays
+    the recurrence down the current path and closes the depth (all
+    deadlines 0) when a vertex on that path misses its new deadline.
 
     Before placing v at p < n the search looks one depth ahead over the
     child entry's order: the child can place x only if ``due[x] > p`` and
     ``u[v][x] < incumbent`` (that is, ``slack[v][x] >= 1``).  A child where
     no candidate passes would only count its candidates as cut nodes, so
     the length of its order is added without building the child's
-    deadlines or calling it.  Node counts are kept in a local per
-    depth and checked against one threshold, the node limit or the next
-    multiple of 1024, whichever comes first.  A count that jumps past the
-    node limit over a skipped child is reported as exactly the limit: the
-    candidates between change no state.
+    deadlines or calling it.  Each depth takes the node count so far as an
+    argument, counts its candidates in a local checked against one
+    threshold, the node limit or the next multiple of 1024, whichever comes
+    first, and returns the count after them; a stop raises ``_Stop`` with
+    the count at that point.  A count that jumps past the node limit over a
+    skipped child is reported as exactly the limit: the candidates between
+    change no state.
 
     Stop rules: with the lower bound on, the search ends as soon as the
     incumbent equals it, before the first node if the seed already does.
@@ -315,30 +324,22 @@ def branch_and_bound(
     node_limit = cfg.node_limit or sys.maxsize  # an int either way: one comparison per node
     deadline = t0 + cfg.time_limit
     best_obj, best = seed_objective, seed
-    nodes = 0  # written by extend only around calls, leaves and stops
+    nodes = 0
     check_at = min(node_limit, _CHECK_MASK + 1)  # the node count at which tick next runs
     timed_out = False
     pos = [0] * n  # read only at a leaf, where every entry was written on the current path
-    # due[p][x]: the last position x may take under the incumbent, given the
-    # vertices at positions 1..p-1 (read only for x unplaced there);
-    # _tighten rewrites the live depths' lists in place, so extend's alias sees it
-    due: list[list[int]] = [[]] * (n + 1)
     tight: list[list[tuple[int, int]]] = []
     # each placed set's (branching order, links), keyed by its bitmask
     by_set: dict[int, tuple[list[int], dict[int, float]]] = {}
 
     def tick(k: int) -> None:
         """Stop at the node limit or past the deadline, else set the next check."""
-        nonlocal nodes, check_at, timed_out
-        if k >= node_limit:
-            nodes = node_limit  # a count past it was made of cut candidates only
-        elif time.perf_counter() >= deadline:
-            nodes = k
-        else:
+        nonlocal check_at, timed_out
+        if k < node_limit and time.perf_counter() < deadline:
             check_at = min(node_limit, (k | _CHECK_MASK) + 1)
             return
         timed_out = True
-        raise _Stop
+        raise _Stop(min(k, node_limit))  # a count past the limit was made of cut candidates only
 
     def enter(placed: int, link: dict[int, float]) -> tuple[list[int], dict[int, float]]:
         """Cache and return the placed set's (branching order, links).
@@ -352,12 +353,18 @@ def branch_and_bound(
         by_set[placed] = entry = ([anchor] if at_forced else _by_link(link), link)
         return entry
 
-    def extend(p: int, placed: int, entry: tuple[list[int], dict[int, float]]) -> None:
-        nonlocal best_obj, best, tight, nodes
+    def extend(
+        p: int, placed: int, entry: tuple[list[int], dict[int, float]], due_p: list[int], k: int
+    ) -> int:
+        """Try the placed set's candidates at p after k nodes; return the count after them.
+
+        ``due_p[x]`` is the last position x may take under the incumbent,
+        read only for the unplaced x.  The list is this frame's own.
+        """
+        nonlocal best_obj, best, tight
         order, link = entry  # link's keys: the unplaced vertices
-        due_p = due[p]
         binds = n - p  # a partner's deadline falls only when its slack is below this
-        k = nodes
+        seen = tight  # the partner table due_p was built under
         for v in order:
             k += 1
             if k >= check_at:
@@ -365,15 +372,13 @@ def branch_and_bound(
             if p > due_p[v]:
                 continue
             pos[v] = p
-            if p == n:
-                nodes = k
+            if p == n:  # the order holds v alone, so nothing is left to try here
                 best = Ordering(tuple(pos))
                 best_obj = weighted_bandwidth(U, best).value
                 if use_lb and best_obj == lower_bound:
-                    raise _Stop
+                    raise _Stop(k)
                 tight = _tight_partners(u, best_obj)
-                _tighten(tight, best.vertex_at(), due)
-                continue
+                return k
             row = u[v]
             child = placed | 1 << v
             child_entry = by_set.get(child) or enter(child, _raised(link, row, v))
@@ -395,21 +400,20 @@ def branch_and_bound(
                 s += p
                 if s < child_due[x]:
                     child_due[x] = s
-            due[p + 1] = child_due
-            nodes = k
-            extend(p + 1, child, child_entry)
-            k = nodes
-        nodes = k
+            k = extend(p + 1, child, child_entry, child_due, k)
+            if tight is not seen:  # the child improved the incumbent: tighten this depth
+                seen = tight
+                due_p = _deadlines(tight, best.vertex_at(), p)
+        return k
 
     if not (use_lb and best_obj == lower_bound):
         timed_out = time.perf_counter() >= deadline
         if not timed_out:
             tight = _tight_partners(u, best_obj)
-            due[1] = [n] * n
             try:
-                extend(1, 0, enter(0, dict.fromkeys(range(n), 0.0)))
-            except _Stop:
-                pass
+                nodes = extend(1, 0, enter(0, dict.fromkeys(range(n), 0.0)), [n] * n, 0)
+            except _Stop as stop:
+                nodes = stop.args[0]
     # extend reaches itself through its closure; break that cycle so the
     # search state is freed now rather than by the cyclic garbage collector
     del extend, tick
@@ -452,17 +456,11 @@ def export_lp(
     row and the ``sym`` anchor row.  Vertex v's position is written as
     ``x_v{v}_i1 + 2 x_v{v}_i2 + ... + n x_v{v}_in``.  Rows are written as
     they are built, so no copy of the whole model (6.5 MB at n = 60) is held.
-    A weight whose reciprocal, the coefficient of ``b``, overflows to inf
-    raises ValueError naming its pair before the file is opened.
+    Every weight's reciprocal, the coefficient of ``b``, is finite:
+    ``InteractionMatrix`` checks it.
     """
     if cfg is None:
         cfg = SolveConfig()
-    u = U.u.tolist()
-    for v, w in combinations(range(U.n), 2):
-        if math.isinf(1.0 / u[v][w]):
-            raise ValueError(
-                f"weight u[{v}][{w}] = {u[v][w]!r} has no finite reciprocal for row bw_{v}_{w}"
-            )
     with Path(path).open("w", encoding="utf-8") as f:
         f.writelines(f"{row}\n" for row in _lp_rows(U, cfg))
 
@@ -529,4 +527,4 @@ def save_result(result: SolveResult, path: str | Path) -> None:
 
 
 def load_result(path: str | Path) -> SolveResult:
-    return result_from_json(Path(path).read_text(encoding="utf-8"))
+    return result_from_json(_read_doc(path))

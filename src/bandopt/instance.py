@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,6 +57,11 @@ class CoincidentSitesError(ValueError):
         self.pair = (i, j)
 
 
+def _is_number(value: object) -> bool:
+    """An int or a float, never a bool: what a numeric field accepts."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GenParams:
     """Generation parameters: square box side and minimum site separation."""
@@ -64,8 +70,8 @@ class GenParams:
     r_min: float = DEFAULT_R_MIN
 
     def __post_init__(self):
-        if not (0 < self.L < math.inf and 0 < self.r_min < math.inf):
-            raise SchemaError("params", "params.L and params.r_min must be positive and finite")
+        if not all(_is_number(x) and 0 < x < math.inf for x in (self.L, self.r_min)):
+            raise SchemaError("params", "params.L and params.r_min must be finite numbers > 0")
 
     @staticmethod
     def defaults(n: int) -> "GenParams":
@@ -125,14 +131,28 @@ class Instance:
         return float(np.sqrt(d2[np.triu_indices(len(pts), k=1)].min()))
 
 
+def _least_weight() -> float:
+    """The least w > 0 whose reciprocal ``1.0 / w`` is finite, about 5.6e-309."""
+    w = 1.0 / sys.float_info.max  # within an ulp or two of it
+    while math.isinf(1.0 / w):
+        w = math.nextafter(w, 1.0)
+    while not math.isinf(1.0 / math.nextafter(w, 0.0)):
+        w = math.nextafter(w, 0.0)
+    return w
+
+
+_LEAST_WEIGHT = _least_weight()
+
+
 @dataclass(frozen=True, eq=False)
 class InteractionMatrix:
     """Symmetric matrix of pairwise interaction weights u[i][j] = 1/d_ij^6.
 
     Construction checks that ``u`` is square with n >= 2, finite and
-    symmetric, with a zero diagonal and strictly positive off-diagonal
-    entries, then marks it read-only in place: the caller hands ``u`` over
-    and must keep no writable reference.  Share it freely afterwards.
+    symmetric, with a zero diagonal and off-diagonal entries of at least
+    ``_LEAST_WEIGHT``, so positive with a finite reciprocal (the LP's
+    coefficient), then marks it read-only in place: the caller hands ``u``
+    over and must keep no writable reference.  Share it freely afterwards.
     Equality and hashing are by identity, since numpy arrays have neither.
     """
 
@@ -149,8 +169,12 @@ class InteractionMatrix:
             raise ValueError("weight matrix must be symmetric")
         if np.any(np.diag(u) != 0.0):
             raise ValueError("weight matrix diagonal must be zero")
-        if np.count_nonzero(u > 0.0) != n * (n - 1):  # diagonal is zero here
-            raise ValueError("off-diagonal weights must be strictly positive")
+        if np.count_nonzero(u >= _LEAST_WEIGHT) != n * (n - 1):  # diagonal is zero here
+            v, w = np.argwhere((u < _LEAST_WEIGHT) & ~np.eye(n, dtype=bool))[0]
+            raise ValueError(
+                f"off-diagonal weight u[{v}][{w}] = {float(u[v, w])!r} must be positive "
+                f"with a finite reciprocal"
+            )
         u.setflags(write=False)
 
     @property
@@ -341,6 +365,14 @@ def _dump_doc(schema: str, **fields: object) -> str:
     return json.dumps({"schema": schema, **fields}, separators=(",", ":")) + "\n"
 
 
+def _read_doc(path: str | Path) -> str:
+    """A document file's text; bytes that are not UTF-8 raise SchemaError("document")."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError("document", f"not UTF-8 text: {exc}") from exc
+
+
 def _parse_doc(text: str, schema: str) -> dict:
     """The one document reader: a JSON object tagged ``schema``, else SchemaError."""
     try:
@@ -361,7 +393,7 @@ def _require(doc: dict, key: str, kind: type, where: str) -> object:
         raise SchemaError(key, f'missing required field "{key}" in {where}')
     value = doc[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_number(value):
             raise SchemaError(key, f'field "{key}" must be a number')
         try:
             return float(value)
@@ -393,7 +425,7 @@ def from_json(text: str) -> Instance:
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in entry)
+            or not all(_is_number(c) for c in entry)
         ):
             raise SchemaError("sites", f"sites[{idx}] must be a pair of numbers")
         try:
@@ -420,4 +452,4 @@ def from_json(text: str) -> Instance:
 
 
 def load(path: str | Path) -> Instance:
-    return from_json(Path(path).read_text(encoding="utf-8"))
+    return from_json(_read_doc(path))

@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .instance import InteractionMatrix, SchemaError, _dump_doc, _parse_doc, _require
+from .instance import InteractionMatrix, SchemaError, _dump_doc, _parse_doc, _read_doc, _require
 
 SCHEMA_ORDERING = "bandopt-ordering/1"
 
@@ -138,4 +138,4 @@ def save_ordering(ordering: Ordering, path: str | Path) -> None:
 
 
 def load_ordering(path: str | Path) -> Ordering:
-    return ordering_from_json(Path(path).read_text(encoding="utf-8"))
+    return ordering_from_json(_read_doc(path))

@@ -64,6 +64,14 @@ def test_rcm_rejects_oversized_param(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_rejects_undecodable_file(tmp_path, capsys):
+    path, out = tmp_path / "inst.json", tmp_path / "result.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert main(["solve", "--instance", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("bandopt: not UTF-8")
+    assert not out.exists()
+
+
 def test_solve_rejects_nan_time_limit(tmp_path, capsys):
     path, out = tmp_path / "inst.json", tmp_path / "result.json"
     save(generate(6, 1), path)

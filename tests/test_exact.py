@@ -19,6 +19,7 @@ from bandopt.exact import (
     STATUS_TIMEOUT,
     SolveConfig,
     SolveResult,
+    _deadlines,
     _slack,
     _tight_partners,
     branch_and_bound,
@@ -220,9 +221,13 @@ class TestBranchAndBound:
         "kwargs",
         [
             dict(time_limit=0.0), dict(time_limit=-1.0), dict(time_limit=math.nan),
+            dict(time_limit=True), dict(time_limit="5"), dict(time_limit=None),
             dict(node_limit=0), dict(node_limit=2.5), dict(node_limit=True),
         ],
-        ids=["zero-time", "negative-time", "nan-time", "zero-nodes", "fractional-nodes", "bool-nodes"],
+        ids=[
+            "zero-time", "negative-time", "nan-time", "bool-time", "str-time", "none-time",
+            "zero-nodes", "fractional-nodes", "bool-nodes",
+        ],
     )
     def test_config_rejected_at_construction(self, kwargs):
         with pytest.raises(ValueError):
@@ -369,6 +374,40 @@ class TestSlackTable:
         for w, pairs in enumerate(_tight_partners(u, bound)):
             assert pairs == sorted((slack[w][x], x) for x in range(n) if slack[w][x] < n)
             assert w not in [x for _, x in pairs]
+
+
+class TestDeadlines:
+    @staticmethod
+    def _by_definition(u, bound, at, p):
+        """Depth p's list from ``_slack_table``: all zeros once the prefix is closed."""
+        n = len(u)
+        slack = _slack_table(u, bound)
+
+        def due(r):  # min(n, min over w placed at q < r of q + slack[w][x])
+            return [min([n] + [q + slack[at[q - 1]][x] for q in range(1, r)]) for x in range(n)]
+
+        if any(q > due(q)[at[q - 1]] for q in range(1, p)):
+            return [0] * n
+        return due(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_tied_weights(), st.data())
+    def test_matches_definition(self, U, data):
+        u, n = U.u.tolist(), U.n
+        at = tuple(data.draw(st.permutations(range(n))))
+        bound = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 7.0])) * float(U.u.max())
+        tight = _tight_partners(u, bound)
+        for p in range(1, n + 1):
+            assert _deadlines(tight, at, p) == self._by_definition(u, bound, at, p)
+
+    def test_closed_prefix_is_all_zeros(self):
+        # every slack is 0 at this bound, so placing 1 at 1 leaves 0 and 2
+        # the deadline 1: 0 at position 2 misses it, which closes depth 3
+        u, at = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]], (1, 0, 2)
+        tight = _tight_partners(u, 1.0)
+        assert _deadlines(tight, at, 1) == [3, 3, 3]
+        assert _deadlines(tight, at, 2) == [1, 3, 1]
+        assert _deadlines(tight, at, 3) == [0, 0, 0]
 
 
 def _reference_branch_order(u, pos, placed, p):

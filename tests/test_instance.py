@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bandopt.instance
+from bandopt.exact import load_result
 from bandopt.instance import (
     CoincidentSitesError,
     GenerationError,
@@ -23,6 +24,7 @@ from bandopt.instance import (
     save,
     to_json,
 )
+from bandopt.metrics import load_ordering
 
 
 def _toy(sites, bonds=frozenset(), n=None):
@@ -80,7 +82,10 @@ class TestGenerate:
 
     @pytest.mark.parametrize(
         "params",
-        [dict(L=math.nan), dict(L=math.inf), dict(L=10.0, r_min=math.nan), dict(L=-1.0)],
+        [
+            dict(L=math.nan), dict(L=math.inf), dict(L=10.0, r_min=math.nan), dict(L=-1.0),
+            dict(L=True), dict(L=10.0, r_min=True), dict(L="10"), dict(L=None),
+        ],
     )
     def test_non_finite_params_rejected_up_front(self, params):
         # ValueError before any rejection sampling, not a late GenerationError;
@@ -285,8 +290,9 @@ class TestInteractionMatrix:
             [[0.0, math.nan], [math.nan, 0.0]],
             np.zeros((0, 0)),
             np.zeros((1, 1)),
+            [[0.0, 1e-320], [1e-320, 0.0]],
         ],
-        ids=["inf", "negative", "nan", "empty", "one-vertex"],
+        ids=["inf", "negative", "nan", "empty", "one-vertex", "reciprocal-overflows"],
     )
     def test_constructor_rejects(self, u):
         # the constructor itself checks, as permute_matrix builds it directly
@@ -405,6 +411,14 @@ class TestSerialization:
     def test_malformed_document(self):
         with pytest.raises(SchemaError):
             from_json("{not json")
+
+    @pytest.mark.parametrize("loader", [load, load_ordering, load_result])
+    def test_undecodable_file_is_document_error(self, tmp_path, loader):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b"\xff\xfe{")  # a UTF-16 byte order mark, not UTF-8
+        with pytest.raises(SchemaError) as err:
+            loader(path)
+        assert err.value.field_name == "document"
 
     def test_duplicate_coordinates_rejected(self):
         doc = json.loads(to_json(generate(4, 1)))
