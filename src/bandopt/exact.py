@@ -14,7 +14,7 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 from pathlib import Path
 
 import numpy as np
@@ -72,8 +72,9 @@ class SolveResult:
 
     Construction checks the certificate: ``0 <= lower_bound <= objective``
     with a finite objective, a known status, an int ``nodes_explored >= 0``
-    and a finite ``wall_time >= 0``.  A violation raises SchemaError naming the
-    field as the result document spells it.
+    and a finite ``wall_time >= 0``; the three numbers are ints or floats,
+    never bools.  A violation raises SchemaError naming the field as the
+    result document spells it.
     """
 
     ordering: Ordering
@@ -84,20 +85,23 @@ class SolveResult:
     wall_time: float
 
     def __post_init__(self):
-        if not 0 <= self.objective < math.inf:
-            raise SchemaError("objective", f"objective must be finite and >= 0, got {self.objective}")
-        if not 0 <= self.lower_bound <= self.objective:
+        if not (_is_number(self.objective) and 0 <= self.objective < math.inf):
             raise SchemaError(
-                "lower_bound", f"lower_bound must lie in [0, objective], got {self.lower_bound}"
+                "objective", f"objective must be a finite number >= 0, got {self.objective!r}"
+            )
+        if not (_is_number(self.lower_bound) and 0 <= self.lower_bound <= self.objective):
+            raise SchemaError(
+                "lower_bound",
+                f"lower_bound must be a number in [0, objective], got {self.lower_bound!r}",
             )
         if self.status not in (STATUS_OPTIMAL, STATUS_TIMEOUT):
             raise SchemaError("status", f'unknown status "{self.status}"')
         nodes = self.nodes_explored
         if not isinstance(nodes, int) or isinstance(nodes, bool) or nodes < 0:
             raise SchemaError("nodes", f"nodes must be an int >= 0, got {nodes!r}")
-        if not 0 <= self.wall_time < math.inf:
+        if not (_is_number(self.wall_time) and 0 <= self.wall_time < math.inf):
             raise SchemaError(
-                "wall_time_s", f"wall_time_s must be finite and >= 0, got {self.wall_time}"
+                "wall_time_s", f"wall_time_s must be a finite number >= 0, got {self.wall_time!r}"
             )
 
 
@@ -113,8 +117,14 @@ def default_anchor(U: InteractionMatrix) -> int:
 
 @lru_cache(maxsize=4)
 def _positions_table(n: int) -> np.ndarray:
-    """All permutations of positions 1..n in lexicographic order."""
-    table = np.array(list(permutations(range(1, n + 1))), dtype=np.int8)
+    """All permutations of positions 1..n in lexicographic order.
+
+    The positions stream straight into the int8 array: a list of the n!
+    tuples would peak at about 17 times the table's size (n = 9).
+    """
+    count = math.factorial(n) * n
+    table = np.fromiter(chain.from_iterable(permutations(range(1, n + 1))), np.int8, count)
+    table = table.reshape(-1, n)
     table.setflags(write=False)
     return table
 
@@ -149,7 +159,7 @@ def brute_force(U: InteractionMatrix) -> SolveResult:
 
 
 class _Stop(Exception):
-    """Internal signal: abandon the search; ``args[0]`` is the node count."""
+    """Internal signal: abandon the search; ``args`` is (node count, status)."""
 
 
 def _slack(w: float, bound: float, n: int) -> int:
@@ -290,17 +300,20 @@ def branch_and_bound(
     deadlines or calling it.  Each depth takes the node count so far as an
     argument, counts its candidates in a local checked against one
     threshold, the node limit or the next multiple of 1024, whichever comes
-    first, and returns the count after them; a stop raises ``_Stop`` with
-    the count at that point.  A count that jumps past the node limit over a
-    skipped child is reported as exactly the limit: the candidates between
-    change no state.
+    first, and returns the count after them.  A count that jumps past the
+    node limit over a skipped child is reported as exactly the limit: the
+    candidates between change no state.
 
-    Stop rules: with the lower bound on, the search ends as soon as the
-    incumbent equals it, before the first node if the seed already does.
-    Otherwise a deadline already passed before the first node, the node
-    limit, or the deadline, polled at least once every 1024 + n nodes,
-    stops the search with status "feasible-timeout"; natural termination
-    is "optimal".
+    Stop rules: every stop raises ``_Stop`` with its node count and status
+    from inside the one ``try`` around the root call; its ``except`` and
+    the root call's normal return, "optimal", are the only places that set
+    the result's count and status.  With the lower bound on, the search
+    stops "optimal" as soon as the incumbent equals it: at count 0 if the
+    seed already does, which comes before any deadline.  Otherwise
+    ``tick``, the one place that reads the deadline, stops the search
+    "feasible-timeout" at the node limit or once the deadline has passed;
+    it runs once before the first node (``tick(0)``) and then at least
+    once every 1024 + n nodes.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -308,25 +321,21 @@ def branch_and_bound(
     t0 = time.perf_counter()
     anchor = default_anchor(U)
     lower_bound = theoretical_lower_bound(U)
-    seed = warm_start if warm_start is not None else Ordering.identity(n)
+    best = warm_start if warm_start is not None else Ordering.identity(n)
     u: list[list[float]] = U.u.tolist()
-    seed_objective = weighted_bandwidth(U, seed).value
+    best_obj = weighted_bandwidth(U, best).value
     probe = _greedy_probe(u)
     probe_objective = weighted_bandwidth(U, probe).value
-    if probe_objective < seed_objective:
-        seed = probe
-        seed_objective = probe_objective
-    if seed.perm[anchor] > (n + 1) // 2:
-        seed = seed.reversed()
+    if probe_objective < best_obj:
+        best, best_obj = probe, probe_objective
+    if best.perm[anchor] > (n + 1) // 2:
+        best = best.reversed()
 
     use_lb = cfg.use_lower_bound
     forced = (n + 1) // 2 if cfg.use_symmetry_breaking else 0  # 0: no forced position
     node_limit = cfg.node_limit or sys.maxsize  # an int either way: one comparison per node
     deadline = t0 + cfg.time_limit
-    best_obj, best = seed_objective, seed
-    nodes = 0
-    check_at = min(node_limit, _CHECK_MASK + 1)  # the node count at which tick next runs
-    timed_out = False
+    check_at = 0  # the node count at which tick next runs; tick(0) sets the first
     pos = [0] * n  # read only at a leaf, where every entry was written on the current path
     tight: list[list[tuple[int, int]]] = []
     # each placed set's (branching order, links), keyed by its bitmask
@@ -334,12 +343,12 @@ def branch_and_bound(
 
     def tick(k: int) -> None:
         """Stop at the node limit or past the deadline, else set the next check."""
-        nonlocal check_at, timed_out
+        nonlocal check_at
         if k < node_limit and time.perf_counter() < deadline:
             check_at = min(node_limit, (k | _CHECK_MASK) + 1)
             return
-        timed_out = True
-        raise _Stop(min(k, node_limit))  # a count past the limit was made of cut candidates only
+        # a count past the limit was made of cut candidates only
+        raise _Stop(min(k, node_limit), STATUS_TIMEOUT)
 
     def enter(placed: int, link: dict[int, float]) -> tuple[list[int], dict[int, float]]:
         """Cache and return the placed set's (branching order, links).
@@ -376,7 +385,7 @@ def branch_and_bound(
                 best = Ordering(tuple(pos))
                 best_obj = weighted_bandwidth(U, best).value
                 if use_lb and best_obj == lower_bound:
-                    raise _Stop(k)
+                    raise _Stop(k, STATUS_OPTIMAL)
                 tight = _tight_partners(u, best_obj)
                 return k
             row = u[v]
@@ -406,23 +415,24 @@ def branch_and_bound(
                 due_p = _deadlines(tight, best.vertex_at(), p)
         return k
 
-    if not (use_lb and best_obj == lower_bound):
-        timed_out = time.perf_counter() >= deadline
-        if not timed_out:
-            tight = _tight_partners(u, best_obj)
-            try:
-                nodes = extend(1, 0, enter(0, dict.fromkeys(range(n), 0.0)), [n] * n, 0)
-            except _Stop as stop:
-                nodes = stop.args[0]
+    try:
+        if use_lb and best_obj == lower_bound:
+            raise _Stop(0, STATUS_OPTIMAL)
+        tick(0)
+        tight = _tight_partners(u, best_obj)
+        nodes = extend(1, 0, enter(0, dict.fromkeys(range(n), 0.0)), [n] * n, 0)
+        status = STATUS_OPTIMAL
+    except _Stop as stop:
+        nodes, status = stop.args
     # extend reaches itself through its closure; break that cycle so the
     # search state is freed now rather than by the cyclic garbage collector
-    del extend, tick
+    del extend
 
     return SolveResult(
         ordering=best,
         objective=best_obj,
         lower_bound=lower_bound,
-        status=STATUS_TIMEOUT if timed_out else STATUS_OPTIMAL,
+        status=status,
         nodes_explored=nodes,
         wall_time=time.perf_counter() - t0,
     )

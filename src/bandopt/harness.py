@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 from .exact import STATUS_OPTIMAL, SolveConfig, branch_and_bound
-from .instance import GenerationError, generate, interaction_matrix
+from .instance import GenerationError, _read_doc, generate, interaction_matrix
 from .metrics import rcm_gap, weighted_bandwidth
 from .rcm import rcm_on_instance
 
@@ -201,7 +201,7 @@ def save_report(report: GapReport, path: str | Path) -> None:
 
 
 def load_report(path: str | Path) -> GapReport:
-    return report_from_csv(Path(path).read_text(encoding="utf-8"))
+    return report_from_csv(_read_doc(path))
 
 
 def save_summary(summary: dict, path: str | Path) -> None:

@@ -366,7 +366,7 @@ def _dump_doc(schema: str, **fields: object) -> str:
 
 
 def _read_doc(path: str | Path) -> str:
-    """A document file's text; bytes that are not UTF-8 raise SchemaError("document")."""
+    """A document's or report's text; bytes that are not UTF-8 raise SchemaError("document")."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:

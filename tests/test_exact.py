@@ -106,6 +106,23 @@ class TestBruteForce:
         U = interaction_matrix(generate(6, 1))
         assert brute_force(U).nodes_explored == 720
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_positions_table_is_every_permutation_in_order(self, n):
+        table = exact._positions_table(n)
+        expected = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8)
+        assert table.dtype == np.int8 and not table.flags.writeable
+        assert np.array_equal(table, expected)
+
+    def test_positions_table_peak_memory(self):
+        # a list of the n! tuples on the way peaks near 17 times the 3.3 MB table
+        tracemalloc.start()
+        try:
+            table = exact._positions_table.__wrapped__(9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * table.nbytes
+
 
 class TestBranchAndBound:
     def test_matches_oracle(self):
@@ -168,6 +185,12 @@ class TestBranchAndBound:
         assert res.status == STATUS_TIMEOUT
         assert res.nodes_explored == 0
         assert weighted_bandwidth(U, res.ordering).value == res.objective
+
+    def test_bound_stop_precedes_passed_deadline(self):
+        # the seed already meets the bound: that stop comes before the deadline's
+        res = branch_and_bound(COLLINEAR, SolveConfig(time_limit=1e-9))
+        assert (res.status, res.nodes_explored) == (STATUS_OPTIMAL, 0)
+        assert res.objective == res.lower_bound == 1.0
 
     def test_lower_bound_stop_at_leaf(self):
         # the search, not the seed, reaches the bound: the stop at a leaf
@@ -788,11 +811,16 @@ class TestResultSerialization:
             (dict(nodes_explored=2.5), "nodes"),
             (dict(nodes_explored=True), "nodes"),
             (dict(wall_time=math.nan), "wall_time_s"),
+            (dict(objective=True), "objective"),
+            (dict(lower_bound=True), "lower_bound"),
+            (dict(objective="1.5"), "objective"),
+            (dict(wall_time=True), "wall_time_s"),
         ],
         ids=[
             "infinite-objective", "negative-objective", "bound-above-objective",
             "nan-bound", "unknown-status", "negative-nodes", "fractional-nodes",
-            "bool-nodes", "nan-wall-time",
+            "bool-nodes", "nan-wall-time", "bool-objective", "bool-bound",
+            "str-objective", "bool-wall-time",
         ],
     )
     def test_constructor_rejects(self, edit, field):

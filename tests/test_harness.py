@@ -6,7 +6,7 @@ import pytest
 
 from bandopt import harness
 from bandopt.exact import STATUS_OPTIMAL, SolveConfig, branch_and_bound
-from bandopt.instance import generate, interaction_matrix
+from bandopt.instance import SchemaError, generate, interaction_matrix
 from bandopt.rcm import rcm_on_instance
 from bandopt.harness import (
     CSV_HEADER,
@@ -199,3 +199,12 @@ class TestCsv:
         text = ",".join(CSV_HEADER) + "\ninst,5\n"
         with pytest.raises(ValueError):
             report_from_csv(text)
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        # SchemaError is a ValueError, like the other malformed-report errors;
+        # a bare UnicodeDecodeError is one too, so the type is named
+        path = tmp_path / "report.csv"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(SchemaError) as err:
+            load_report(path)
+        assert err.value.field_name == "document"
