@@ -13,8 +13,7 @@ import sys
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, permutations
+from itertools import chain, islice, permutations
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +35,7 @@ STATUS_OPTIMAL = "optimal"
 STATUS_TIMEOUT = "feasible-timeout"
 
 _BRUTE_FORCE_MAX_N = 10
+_BRUTE_FORCE_BLOCK = 5040  # permutations the oracle scores per vectorised step (7!)
 _CHECK_MASK = 1023  # the deadline is polled when the node count reaches a multiple of 1024
 _ORDER_CACHE_MAX = 4096  # placed sets whose branching order a solve keeps at once
 
@@ -115,25 +115,14 @@ def default_anchor(U: InteractionMatrix) -> int:
     return int(np.argmax(U.u.sum(axis=1)))
 
 
-@lru_cache(maxsize=4)
-def _positions_table(n: int) -> np.ndarray:
-    """All permutations of positions 1..n in lexicographic order.
-
-    The positions stream straight into the int8 array: a list of the n!
-    tuples would peak at about 17 times the table's size (n = 9).
-    """
-    count = math.factorial(n) * n
-    table = np.fromiter(chain.from_iterable(permutations(range(1, n + 1))), np.int8, count)
-    table = table.reshape(-1, n)
-    table.setflags(write=False)
-    return table
-
-
 def brute_force(U: InteractionMatrix) -> SolveResult:
     """Enumerate every ordering; independent oracle for the exact solvers.
 
-    Returns the lexicographically smallest optimal permutation.  Refuses
-    n > 10 outright (factorial enumeration).
+    Returns the lexicographically smallest optimal permutation, with
+    ``nodes_explored = n!``.  Refuses n > 10 outright (factorial
+    enumeration).  The permutations are scored in blocks of
+    ``_BRUTE_FORCE_BLOCK`` rows and nothing is kept between calls, so a
+    call needs a few MB at any n.
     """
     n = U.n
     if n > _BRUTE_FORCE_MAX_N:
@@ -141,21 +130,33 @@ def brute_force(U: InteractionMatrix) -> SolveResult:
             f"brute force enumerates n! orderings; refusing n={n} > {_BRUTE_FORCE_MAX_N}"
         )
     t0 = time.perf_counter()
-    perms = _positions_table(n)
-    u = U.u
-    obj = np.zeros(len(perms))
-    for i in range(n):
-        for j in range(i + 1, n):
-            np.maximum(obj, u[i, j] * np.abs(perms[:, i] - perms[:, j]), out=obj)
-    best = int(np.argmin(obj))  # first minimum = lexicographically smallest
+    i, j = np.triu_indices(n, 1)
+    w = U.u[i, j]
+    best_obj, best = math.inf, None
+    for block in _position_blocks(n):
+        obj = (np.abs(block[:, i] - block[:, j]) * w).max(axis=1)
+        k = int(np.argmin(obj))  # first minimum of the block
+        if obj[k] < best_obj:  # strictly: an earlier block keeps its tie
+            best_obj, best = float(obj[k]), tuple(block[k].tolist())
     return SolveResult(
-        ordering=Ordering(tuple(int(p) for p in perms[best])),
-        objective=float(obj[best]),
+        ordering=Ordering(best),
+        objective=best_obj,
         lower_bound=theoretical_lower_bound(U),
         status=STATUS_OPTIMAL,
-        nodes_explored=len(perms),
+        nodes_explored=math.factorial(n),
         wall_time=time.perf_counter() - t0,
     )
+
+
+def _position_blocks(n: int) -> Iterator[np.ndarray]:
+    """Every permutation of 1..n in lexicographic order, as int8 rows of
+    positions, at most ``_BRUTE_FORCE_BLOCK`` rows at a time."""
+    total = math.factorial(n)
+    perms = permutations(range(1, n + 1))
+    for start in range(0, total, _BRUTE_FORCE_BLOCK):
+        rows = min(_BRUTE_FORCE_BLOCK, total - start)
+        block = np.fromiter(chain.from_iterable(islice(perms, rows)), np.int8, rows * n)
+        yield block.reshape(rows, n)
 
 
 class _Stop(Exception):

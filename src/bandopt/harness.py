@@ -9,12 +9,20 @@ through CSV byte-identically.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
-from .exact import STATUS_OPTIMAL, SolveConfig, branch_and_bound
-from .instance import GenerationError, _read_doc, generate, interaction_matrix
+from .exact import STATUS_OPTIMAL, STATUS_TIMEOUT, SolveConfig, branch_and_bound
+from .instance import (
+    GenerationError,
+    SchemaError,
+    _is_number,
+    _read_doc,
+    generate,
+    interaction_matrix,
+)
 from .metrics import rcm_gap, weighted_bandwidth
 from .rcm import rcm_on_instance
 
@@ -30,6 +38,11 @@ class GapRow:
     restriction active; ``nodes_off`` is the rerun without it (None when
     the A/B comparison was not requested).  ``opt`` is the best objective
     found; ``status`` says whether it is proven optimal.
+
+    Construction checks each cell and raises SchemaError naming its CSV
+    column: ``n >= 2``; a seed in [0, 2**64); a known status; node counts
+    are ints >= 0 (``nodes_off`` may be None); the floats are finite, with
+    ``opt > 0`` and ``wall_time_s >= 0``.
     """
 
     id: str
@@ -42,6 +55,27 @@ class GapRow:
     nodes_on: int
     nodes_off: int | None
     wall_time_s: float
+
+    def __post_init__(self):
+        off = self.nodes_off
+        for column, holds, requirement in (
+            ("n", type(self.n) is int and self.n >= 2, "an int >= 2"),
+            ("seed", type(self.seed) is int and 0 <= self.seed < 2**64, "an int in [0, 2**64)"),
+            ("obj_rcm", _is_finite(self.obj_rcm), "a finite number"),
+            ("opt", _is_finite(self.opt) and self.opt > 0, "a finite number > 0"),
+            ("gap_percent", _is_finite(self.gap_percent), "a finite number"),
+            ("status", self.status in (STATUS_OPTIMAL, STATUS_TIMEOUT), "a known status"),
+            ("nodes_on", type(self.nodes_on) is int and self.nodes_on >= 0, "an int >= 0"),
+            ("nodes_off", off is None or type(off) is int and off >= 0, "empty or an int >= 0"),
+            ("wall_time_s", _is_finite(self.wall_time_s) and self.wall_time_s >= 0, "finite, >= 0"),
+        ):
+            if not holds:
+                value = getattr(self, column)
+                raise SchemaError(column, f"{column} must be {requirement}, got {value!r}")
+
+
+def _is_finite(value: object) -> bool:
+    return _is_number(value) and math.isfinite(value)
 
 
 CSV_HEADER = tuple(f.name for f in fields(GapRow))
@@ -106,8 +140,9 @@ def run_suite(
     are recorded in the row's status, never dropped; generation failures
     abort the suite with the failing instance identified.  With
     ``ab_compare`` every instance is solved twice to fill ``nodes_off``.
-    Solves always run one after another on the calling thread; rows come
-    back sorted by (n, replicate).
+    Solves always run one after another on the calling thread, by
+    (n, replicate) with the sizes ascending, so the rows come back in that
+    order.
 
     Args:
         sizes: instance sizes to cover, at least one, none repeated (a
@@ -129,10 +164,8 @@ def run_suite(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if cfg is None:
         cfg = SolveConfig()
-    tasks = [(n, r) for n in sizes for r in range(per_size)]
-    rows = [_solve_one(n, r, seed0, cfg, ab_compare) for n, r in tasks]
-    rows.sort(key=lambda row: (row.n, row.seed))
-    return GapReport(rows=tuple(rows))
+    tasks = [(n, r) for n in sorted(sizes) for r in range(per_size)]
+    return GapReport(rows=tuple(_solve_one(n, r, seed0, cfg, ab_compare) for n, r in tasks))
 
 
 def _aggregate(rows: list[GapRow]) -> dict:

@@ -74,6 +74,33 @@ class TestLowerBound:
             assert theoretical_lower_bound(U) <= brute_force(U).objective
 
 
+_WEIGHT_KINDS = ["1-3", "0.3/0.7/1.1", "0.1k", "lognormal"]
+
+
+def _random_weights(rng, kind, n):
+    """Tie-heavy (three kinds) or log-normal symmetric weights."""
+    if kind == "1-3":
+        w = rng.integers(1, 4, size=(n, n)).astype(float)
+    elif kind == "0.3/0.7/1.1":
+        w = rng.choice([0.3, 0.7, 1.1], size=(n, n))
+    elif kind == "0.1k":
+        w = 0.1 * rng.integers(1, 8, size=(n, n))
+    else:
+        w = rng.lognormal(0.0, 1.5, size=(n, n))
+    w = np.triu(w, 1)
+    return InteractionMatrix.from_array(w + w.T)
+
+
+@st.composite
+def _oracle_cases(draw):
+    """Weights at n <= 7 with an oracle block size that divides no n! here
+    (or 1, at n <= 5)."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    U = _random_weights(rng, draw(st.sampled_from(_WEIGHT_KINDS)), n)
+    return U, draw(st.sampled_from([11, 13, 97] + ([1] if n <= 5 else [])))
+
+
 class TestBruteForce:
     def test_collinear_objective(self):
         res = brute_force(COLLINEAR)
@@ -107,21 +134,41 @@ class TestBruteForce:
         assert brute_force(U).nodes_explored == 720
 
     @pytest.mark.parametrize("n", range(2, 8))
-    def test_positions_table_is_every_permutation_in_order(self, n):
-        table = exact._positions_table(n)
+    def test_positions_table_is_every_permutation_in_order(self, n, monkeypatch):
         expected = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8)
-        assert table.dtype == np.int8 and not table.flags.writeable
-        assert np.array_equal(table, expected)
+        for block in (1, 11, 5040):
+            monkeypatch.setattr(exact, "_BRUTE_FORCE_BLOCK", block)
+            blocks = list(exact._position_blocks(n))
+            assert all(b.dtype == np.int8 and len(b) <= block for b in blocks)
+            assert np.array_equal(np.concatenate(blocks), expected)
 
-    def test_positions_table_peak_memory(self):
-        # a list of the n! tuples on the way peaks near 17 times the 3.3 MB table
+    @settings(max_examples=150, deadline=None)
+    @given(_oracle_cases())
+    def test_lexicographically_first_minimum_for_any_block_size(self, case):
+        U, block = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_BRUTE_FORCE_BLOCK", block)
+            res = brute_force(U)
+        scored = [
+            (weighted_bandwidth(U, Ordering(perm)).value, perm)
+            for perm in itertools.permutations(range(1, U.n + 1))
+        ]
+        objective = min(value for value, _ in scored)
+        first = next(perm for value, perm in scored if value == objective)
+        assert (res.objective, res.ordering.perm) == (objective, first)
+        assert res.nodes_explored == math.factorial(U.n)
+
+    def test_peak_memory_at_n9(self):
+        # one 5040-row block at a time peaks near 1.8 MB at n = 9; an n!-row
+        # position table with n!-entry products would need 9.5 MB
+        U = interaction_matrix(generate(9, 1))
         tracemalloc.start()
         try:
-            table = exact._positions_table.__wrapped__(9)
+            brute_force(U)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * table.nbytes
+        assert peak < 4_000_000
 
 
 class TestBranchAndBound:
@@ -513,17 +560,7 @@ def _search_cases(draw, sizes=(2, 9), max_nodes=400):
     """Tie-heavy or log-normal weights with any toggles, warm start and node limit."""
     n = draw(st.integers(*sizes))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    kind = draw(st.sampled_from(["1-3", "0.3/0.7/1.1", "0.1k", "lognormal"]))
-    if kind == "1-3":
-        w = rng.integers(1, 4, size=(n, n)).astype(float)
-    elif kind == "0.3/0.7/1.1":
-        w = rng.choice([0.3, 0.7, 1.1], size=(n, n))
-    elif kind == "0.1k":
-        w = 0.1 * rng.integers(1, 8, size=(n, n))
-    else:
-        w = rng.lognormal(0.0, 1.5, size=(n, n))
-    w = np.triu(w, 1)
-    U = InteractionMatrix.from_array(w + w.T)
+    U = _random_weights(rng, draw(st.sampled_from(_WEIGHT_KINDS)), n)
     # unlimited searches stay at n <= 7 to keep the test fast; the node
     # limits still walk the start of every larger tree
     limits = st.integers(min_value=1, max_value=max_nodes)

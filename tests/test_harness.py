@@ -105,6 +105,22 @@ class TestRunSuite:
                 rj.id, rj.opt, rj.gap_percent, rj.nodes_on
             )
 
+    def test_sizes_solved_in_ascending_order(self, monkeypatch):
+        calls = []
+        solve_one = harness._solve_one
+
+        def recording_solve_one(n, replicate, *args):
+            calls.append((n, replicate))
+            return solve_one(n, replicate, *args)
+
+        monkeypatch.setattr(harness, "_solve_one", recording_solve_one)
+        report = run_suite([6, 5], per_size=2, seed0=3)
+        # the rows are the solves in the order they ran: n = 5 first
+        assert calls == [(5, 0), (5, 1), (6, 0), (6, 1)]
+        assert [(r.n, r.seed) for r in report.rows] == [
+            (n, 3 + 1_000_003 * n + replicate) for n, replicate in calls
+        ]
+
     def test_zero_jobs_rejected(self):
         with pytest.raises(ValueError):
             run_suite([5], per_size=1, seed0=0, jobs=0)
@@ -199,6 +215,30 @@ class TestCsv:
         text = ",".join(CSV_HEADER) + "\ninst,5\n"
         with pytest.raises(ValueError):
             report_from_csv(text)
+
+    @pytest.mark.parametrize(
+        "column, cell",
+        [
+            ("n", "1"),
+            ("seed", "-1"),
+            ("seed", str(2**64)),
+            ("obj_rcm", "inf"),
+            ("opt", "nan"),
+            ("opt", "0"),
+            ("gap_percent", "-inf"),
+            ("status", "bogus"),
+            ("nodes_on", "-7"),
+            ("nodes_off", "-1"),
+            ("wall_time_s", "-1"),
+            ("wall_time_s", "nan"),
+        ],
+    )
+    def test_bad_cell_names_its_column(self, column, cell):
+        cells = report_to_csv(GapReport(rows=(_row(),))).splitlines()[1].split(",")
+        cells[CSV_HEADER.index(column)] = cell
+        with pytest.raises(SchemaError) as err:
+            report_from_csv(",".join(CSV_HEADER) + "\n" + ",".join(cells) + "\n")
+        assert err.value.field_name == column
 
     def test_undecodable_file_rejected(self, tmp_path):
         # SchemaError is a ValueError, like the other malformed-report errors;
