@@ -52,8 +52,7 @@ def _cmd_rcm(args: argparse.Namespace) -> int:
     inst = load(args.instance)
     ordering = rcm_on_instance(inst)
     save_ordering(ordering, args.out)
-    U = interaction_matrix(inst)
-    wb = weighted_bandwidth(U, ordering).value
+    wb = weighted_bandwidth(interaction_matrix(inst), ordering).value
     cb = classic_bandwidth(inst.bonds, ordering)
     print(f"{inst.id}: weighted bandwidth {wb:.12g}, bond bandwidth {cb}")
     return 0
@@ -93,9 +92,7 @@ def _cmd_lp(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     cfg = SolveConfig(time_limit=args.time_limit)
-    report = run_suite(
-        sizes, args.per_size, args.seed, cfg, ab_compare=args.ab_reinforcements
-    )
+    report = run_suite(sizes, args.per_size, args.seed, cfg, ab_compare=args.ab_reinforcements)
     out = Path(args.out)
     save_report(report, out)
     summary = summarize(report)
@@ -133,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact branch-and-bound solve")
     p.add_argument("--instance", required=True, help="instance JSON path")
     p.add_argument("--out", required=True, help="result JSON output path")
-    p.add_argument("--no-lb", action="store_true", help="disable the lower-bound seed and early stop")
+    p.add_argument("--no-lb", action="store_true", help="disable the early stop at the lower bound")
     p.add_argument("--no-sym", action="store_true", help="disable the anchor-position restriction")
     p.add_argument("--time-limit", type=float, default=3600.0, help="wall clock limit in seconds")
     p.add_argument("--node-limit", type=int, default=None, help="stop after this many search nodes")

@@ -13,7 +13,7 @@ import sys
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, islice, permutations
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ STATUS_OPTIMAL = "optimal"
 STATUS_TIMEOUT = "feasible-timeout"
 
 _BRUTE_FORCE_MAX_N = 10
-_BRUTE_FORCE_BLOCK = 5040  # permutations the oracle scores per vectorised step (7!)
+_BRUTE_FORCE_TAIL = 7  # trailing positions the oracle enumerates per block (7! rows)
 _CHECK_MASK = 1023  # the deadline is polled when the node count reaches a multiple of 1024
 _ORDER_CACHE_MAX = 4096  # placed sets whose branching order a solve keeps at once
 
@@ -44,9 +44,9 @@ _ORDER_CACHE_MAX = 4096  # placed sets whose branching order a solve keeps at on
 class SolveConfig:
     """Solver switches.
 
-    ``use_lower_bound`` enables seeding the bound and terminating as soon as
-    the incumbent matches it; ``use_symmetry_breaking`` confines the anchor
-    vertex, always ``default_anchor``, to the first half of the positions.
+    ``use_lower_bound`` stops the search once the incumbent equals ``max u``
+    and adds ``export_lp``'s ``lb`` row; ``use_symmetry_breaking`` confines
+    the anchor vertex, always ``default_anchor``, to the first half of the positions.
     Node counts are reproducible for every configuration.  Construction
     checks that ``time_limit`` is an int or float (not a bool) above 0 and
     that ``node_limit`` is an int (not a bool) of at least 1.
@@ -121,8 +121,8 @@ def brute_force(U: InteractionMatrix) -> SolveResult:
     Returns the lexicographically smallest optimal permutation, with
     ``nodes_explored = n!``.  Refuses n > 10 outright (factorial
     enumeration).  The permutations are scored in blocks of
-    ``_BRUTE_FORCE_BLOCK`` rows and nothing is kept between calls, so a
-    call needs a few MB at any n.
+    ``min(n, _BRUTE_FORCE_TAIL)!`` rows and nothing is kept between calls,
+    so a call needs a few MB at any n.
     """
     n = U.n
     if n > _BRUTE_FORCE_MAX_N:
@@ -150,13 +150,13 @@ def brute_force(U: InteractionMatrix) -> SolveResult:
 
 def _position_blocks(n: int) -> Iterator[np.ndarray]:
     """Every permutation of 1..n in lexicographic order, as int8 rows of
-    positions, at most ``_BRUTE_FORCE_BLOCK`` rows at a time."""
-    total = math.factorial(n)
-    perms = permutations(range(1, n + 1))
-    for start in range(0, total, _BRUTE_FORCE_BLOCK):
-        rows = min(_BRUTE_FORCE_BLOCK, total - start)
-        block = np.fromiter(chain.from_iterable(islice(perms, rows)), np.int8, rows * n)
-        yield block.reshape(rows, n)
+    positions.  A block is one head, the first n - m positions, m = min(n,
+    ``_BRUTE_FORCE_TAIL``), and the rest's m! orderings via one index pattern."""
+    m = min(n, _BRUTE_FORCE_TAIL)
+    pattern = np.array([(*range(n - m), *t) for t in permutations(range(n - m, n))], np.intp)
+    values = range(1, n + 1)
+    for head in permutations(values, n - m):
+        yield np.array(head + tuple(v for v in values if v not in head), np.int8)[pattern]
 
 
 class _Stop(Exception):
@@ -259,7 +259,7 @@ def branch_and_bound(
     cfg: SolveConfig | None = None,
     warm_start: Ordering | None = None,
 ) -> SolveResult:
-    """Depth-first exact solve with bound seeding and symmetry pruning.
+    """Depth-first exact solve with a lower-bound stop and symmetry pruning.
 
     The incumbent starts from the better of ``warm_start`` (the identity
     ordering when absent) and a greedy construction dive, then is

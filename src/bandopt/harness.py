@@ -40,9 +40,9 @@ class GapRow:
     found; ``status`` says whether it is proven optimal.
 
     Construction checks each cell and raises SchemaError naming its CSV
-    column: ``n >= 2``; a seed in [0, 2**64); a known status; node counts
-    are ints >= 0 (``nodes_off`` may be None); the floats are finite, with
-    ``opt > 0`` and ``wall_time_s >= 0``.
+    column: an id free of ``,``, CR and LF; ``n >= 2``; a seed in [0, 2**64);
+    a known status; node counts are ints >= 0 (``nodes_off`` may be None);
+    the floats are finite, with ``opt > 0`` and ``wall_time_s >= 0``.
     """
 
     id: str
@@ -59,6 +59,7 @@ class GapRow:
     def __post_init__(self):
         off = self.nodes_off
         for column, holds, requirement in (
+            ("id", type(self.id) is str and set(",\r\n").isdisjoint(self.id), "free of , CR LF"),
             ("n", type(self.n) is int and self.n >= 2, "an int >= 2"),
             ("seed", type(self.seed) is int and 0 <= self.seed < 2**64, "an int in [0, 2**64)"),
             ("obj_rcm", _is_finite(self.obj_rcm), "a finite number"),
@@ -96,9 +97,7 @@ class GapReport:
     rows: tuple[GapRow, ...]
 
 
-def _solve_one(
-    n: int, replicate: int, seed0: int, cfg: SolveConfig, ab_compare: bool
-) -> GapRow:
+def _solve_one(n: int, replicate: int, seed0: int, cfg: SolveConfig, ab_compare: bool) -> GapRow:
     seed = seed0 + _SEED_STRIDE * n + replicate
     try:
         inst = generate(n, seed)
@@ -180,9 +179,7 @@ def _aggregate(rows: list[GapRow]) -> dict:
         "optimal": sum(1 for r in rows if r.status == STATUS_OPTIMAL),
         "mean_gap_percent": statistics.fmean(gaps),
         "median_gap_percent": statistics.median(gaps),
-        "mean_node_reduction_percent": (
-            statistics.fmean(reductions) if reductions else None
-        ),
+        "mean_node_reduction_percent": statistics.fmean(reductions) if reductions else None,
         "mean_wall_time_s": statistics.fmean(r.wall_time_s for r in rows),
     }
 
@@ -225,7 +222,13 @@ def report_from_csv(text: str) -> GapReport:
         cells = line.split(",")
         if len(cells) != len(CSV_HEADER):
             raise ValueError(f"row has {len(cells)} fields, expected {len(CSV_HEADER)}")
-        rows.append(GapRow(*(parse(cell) for parse, cell in zip(_PARSERS, cells))))
+        values = []
+        for column, parse, cell in zip(CSV_HEADER, _PARSERS, cells):
+            try:
+                values.append(parse(cell))
+            except ValueError:
+                raise SchemaError(column, f"{column} cannot be parsed from {cell!r}") from None
+        rows.append(GapRow(*values))
     return GapReport(rows=tuple(rows))
 
 

@@ -93,12 +93,12 @@ def _random_weights(rng, kind, n):
 
 @st.composite
 def _oracle_cases(draw):
-    """Weights at n <= 7 with an oracle block size that divides no n! here
-    (or 1, at n <= 5)."""
+    """Weights at n <= 7 with an oracle tail length of 1 to 3, so most
+    cases have several heads."""
     n = draw(st.integers(min_value=2, max_value=7))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     U = _random_weights(rng, draw(st.sampled_from(_WEIGHT_KINDS)), n)
-    return U, draw(st.sampled_from([11, 13, 97] + ([1] if n <= 5 else [])))
+    return U, draw(st.integers(min_value=1, max_value=3))
 
 
 class TestBruteForce:
@@ -133,21 +133,26 @@ class TestBruteForce:
         U = interaction_matrix(generate(6, 1))
         assert brute_force(U).nodes_explored == 720
 
-    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("n", range(2, 10))
     def test_positions_table_is_every_permutation_in_order(self, n, monkeypatch):
-        expected = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8)
-        for block in (1, 11, 5040):
-            monkeypatch.setattr(exact, "_BRUTE_FORCE_BLOCK", block)
+        perms = itertools.chain.from_iterable(itertools.permutations(range(1, n + 1)))
+        expected = np.fromiter(perms, np.int8).reshape(-1, n)
+        # above n = 7, tail lengths 1 and 3 would mean 40320 or more blocks
+        for tail in (1, 3, 7) if n <= 7 else (exact._BRUTE_FORCE_TAIL,):
+            monkeypatch.setattr(exact, "_BRUTE_FORCE_TAIL", tail)
+            head = n - min(n, tail)
             blocks = list(exact._position_blocks(n))
-            assert all(b.dtype == np.int8 and len(b) <= block for b in blocks)
+            for b in blocks:
+                assert b.dtype == np.int8 and len(b) == math.factorial(min(n, tail))
+                assert (b[:, :head] == b[0, :head]).all()  # one head per block
             assert np.array_equal(np.concatenate(blocks), expected)
 
     @settings(max_examples=150, deadline=None)
     @given(_oracle_cases())
     def test_lexicographically_first_minimum_for_any_block_size(self, case):
-        U, block = case
+        U, tail = case
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exact, "_BRUTE_FORCE_BLOCK", block)
+            mp.setattr(exact, "_BRUTE_FORCE_TAIL", tail)
             res = brute_force(U)
         scored = [
             (weighted_bandwidth(U, Ordering(perm)).value, perm)
@@ -159,8 +164,9 @@ class TestBruteForce:
         assert res.nodes_explored == math.factorial(U.n)
 
     def test_peak_memory_at_n9(self):
-        # one 5040-row block at a time peaks near 1.8 MB at n = 9; an n!-row
-        # position table with n!-entry products would need 9.5 MB
+        # one 5040-row block at a time, with its index pattern, peaks near
+        # 2.4 MB at n = 9; an n!-row position table with n!-entry products
+        # would need 9.5 MB
         U = interaction_matrix(generate(9, 1))
         tracemalloc.start()
         try:

@@ -231,6 +231,11 @@ class TestCsv:
             ("nodes_off", "-1"),
             ("wall_time_s", "-1"),
             ("wall_time_s", "nan"),
+            # cells that their column's parser rejects
+            ("n", "abc"),
+            ("n", "True"),
+            ("obj_rcm", "x"),
+            ("nodes_off", "1.5"),
         ],
     )
     def test_bad_cell_names_its_column(self, column, cell):
@@ -239,6 +244,13 @@ class TestCsv:
         with pytest.raises(SchemaError) as err:
             report_from_csv(",".join(CSV_HEADER) + "\n" + ",".join(cells) + "\n")
         assert err.value.field_name == column
+
+    @pytest.mark.parametrize("bad_id", ["a,b", "a\rb", "a\nb"])
+    def test_id_that_would_split_the_row_rejected(self, bad_id):
+        # such an id would write a row that report_from_csv cannot read back
+        with pytest.raises(SchemaError) as err:
+            _row(id=bad_id)
+        assert err.value.field_name == "id"
 
     def test_undecodable_file_rejected(self, tmp_path):
         # SchemaError is a ValueError, like the other malformed-report errors;
