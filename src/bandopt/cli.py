@@ -28,6 +28,13 @@ def _gen_params(n: int, r_min: float | None, box_side: float | None) -> GenParam
     )
 
 
+def _check_out_dir(out: str) -> None:
+    """Fail before a long run, not after it, when ``out`` has no directory to go in."""
+    parent = Path(out).parent
+    if not parent.is_dir():
+        raise NotADirectoryError(f"--out {out}: {parent} is not a directory")
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
@@ -71,6 +78,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     inst = load(args.instance)
     U = interaction_matrix(inst)
     cfg = _solve_config(args)
+    _check_out_dir(args.out)
     result = branch_and_bound(U, cfg, warm_start=rcm_on_instance(inst))
     save_result(result, args.out)
     print(
@@ -92,6 +100,7 @@ def _cmd_lp(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     cfg = SolveConfig(time_limit=args.time_limit)
+    _check_out_dir(args.out)
     report = run_suite(sizes, args.per_size, args.seed, cfg, ab_compare=args.ab_reinforcements)
     out = Path(args.out)
     save_report(report, out)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 import time
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import permutations
@@ -70,6 +71,8 @@ class SolveConfig:
 class SolveResult:
     """Outcome of an exact solve (or of the oracle enumeration).
 
+    ``lower_bound`` is what the solve proved: the objective itself when the
+    status is "optimal", ``theoretical_lower_bound`` after a timeout.
     Construction checks the certificate: ``0 <= lower_bound <= objective``
     with a finite objective, a known status, an int ``nodes_explored >= 0``
     and a finite ``wall_time >= 0``; the three numbers are ints or floats,
@@ -119,10 +122,10 @@ def brute_force(U: InteractionMatrix) -> SolveResult:
     """Enumerate every ordering; independent oracle for the exact solvers.
 
     Returns the lexicographically smallest optimal permutation, with
-    ``nodes_explored = n!``.  Refuses n > 10 outright (factorial
-    enumeration).  The permutations are scored in blocks of
-    ``min(n, _BRUTE_FORCE_TAIL)!`` rows and nothing is kept between calls,
-    so a call needs a few MB at any n.
+    ``nodes_explored = n!`` and the objective as its lower bound.  Refuses
+    n > 10 outright (factorial enumeration).  The permutations are scored
+    in blocks of ``min(n, _BRUTE_FORCE_TAIL)!`` rows and nothing is kept
+    between calls, so a call needs a few MB at any n.
     """
     n = U.n
     if n > _BRUTE_FORCE_MAX_N:
@@ -141,7 +144,7 @@ def brute_force(U: InteractionMatrix) -> SolveResult:
     return SolveResult(
         ordering=Ordering(best),
         objective=best_obj,
-        lower_bound=theoretical_lower_bound(U),
+        lower_bound=best_obj,
         status=STATUS_OPTIMAL,
         nodes_explored=math.factorial(n),
         wall_time=time.perf_counter() - t0,
@@ -166,19 +169,10 @@ class _Stop(Exception):
 def _slack(w: float, bound: float, n: int) -> int:
     """Largest k <= n with ``w * k < bound``, tested with that float product.
 
-    ``bound / w`` only seeds the answer: when the product rounds, a bare
-    ``ceil(bound / w) - 1`` can be one off, so the seed is walked to the
-    last k that passes.  Needs ``bound > 0``, hence ``w * 0 < bound``.
+    The product never falls as k rises, so the k that pass are a prefix of
+    1..n and bisection counts them (0 when none does).
     """
-    if w * n < bound:
-        return n
-    q = bound / w
-    k = int(q) if q < n else n - 1
-    while w * (k + 1) < bound:
-        k += 1
-    while w * k >= bound:
-        k -= 1
-    return k
+    return bisect_left(range(1, n + 1), bound, key=w.__mul__)
 
 
 def _by_link(link: dict[int, float]) -> list[int]:
@@ -223,8 +217,9 @@ def _tight_partners(u: list[list[float]], bound: float) -> list[list[tuple[int, 
     Deadlines never exceed n, so only these x can have their deadline
     lowered by w, and placing w at p lowers one only while
     ``slack[w][x] < n - p``.  The slack is below n exactly when
-    ``u[w][x] * n >= bound``, so ``_slack`` runs on those entries only.  A
-    vertex is never its own partner: its zero diagonal weight has slack n.
+    ``u[w][x] * n >= bound``, so ``_slack``'s bisection runs on those
+    entries only.  A vertex is never its own partner: its zero diagonal
+    weight has slack n.
     """
     n = len(u)
     return [
@@ -432,7 +427,7 @@ def branch_and_bound(
     return SolveResult(
         ordering=best,
         objective=best_obj,
-        lower_bound=lower_bound,
+        lower_bound=best_obj if status == STATUS_OPTIMAL else lower_bound,
         status=status,
         nodes_explored=nodes,
         wall_time=time.perf_counter() - t0,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,29 +130,17 @@ class Instance:
         return float(np.sqrt(d2[np.triu_indices(len(pts), k=1)].min()))
 
 
-def _least_weight() -> float:
-    """The least w > 0 whose reciprocal ``1.0 / w`` is finite, about 5.6e-309."""
-    w = 1.0 / sys.float_info.max  # within an ulp or two of it
-    while math.isinf(1.0 / w):
-        w = math.nextafter(w, 1.0)
-    while not math.isinf(1.0 / math.nextafter(w, 0.0)):
-        w = math.nextafter(w, 0.0)
-    return w
-
-
-_LEAST_WEIGHT = _least_weight()
-
-
 @dataclass(frozen=True, eq=False)
 class InteractionMatrix:
     """Symmetric matrix of pairwise interaction weights u[i][j] = 1/d_ij^6.
 
     Construction checks that ``u`` is square with n >= 2, finite and
-    symmetric, with a zero diagonal and off-diagonal entries of at least
-    ``_LEAST_WEIGHT``, so positive with a finite reciprocal (the LP's
-    coefficient), then marks it read-only in place: the caller hands ``u``
-    over and must keep no writable reference.  Share it freely afterwards.
-    Equality and hashing are by identity, since numpy arrays have neither.
+    symmetric, with a zero diagonal and positive off-diagonal entries whose
+    reciprocal ``1.0 / w``, the LP's coefficient, is finite (else the error
+    names the first such pair in row-major order), then marks it read-only
+    in place: the caller hands ``u`` over and must keep no writable
+    reference.  Share it freely afterwards.  Equality and hashing are by
+    identity, since numpy arrays have neither.
     """
 
     u: np.ndarray
@@ -169,8 +156,14 @@ class InteractionMatrix:
             raise ValueError("weight matrix must be symmetric")
         if np.any(np.diag(u) != 0.0):
             raise ValueError("weight matrix diagonal must be zero")
-        if np.count_nonzero(u >= _LEAST_WEIGHT) != n * (n - 1):  # diagonal is zero here
-            v, w = np.argwhere((u < _LEAST_WEIGHT) & ~np.eye(n, dtype=bool))[0]
+        positive = u > 0  # the diagonal is zero here
+        # reciprocals fall as weights rise, so the smallest weight decides
+        least = float(u.min(where=positive, initial=math.inf))
+        if np.count_nonzero(positive) != n * (n - 1) or math.isinf(1.0 / least):
+            with np.errstate(divide="ignore", over="ignore"):
+                bad = ~(positive & np.isfinite(1.0 / u))
+            np.fill_diagonal(bad, False)
+            v, w = np.argwhere(bad)[0]  # the first offending pair in row-major order
             raise ValueError(
                 f"off-diagonal weight u[{v}][{w}] = {float(u[v, w])!r} must be positive "
                 f"with a finite reciprocal"

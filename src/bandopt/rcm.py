@@ -13,7 +13,7 @@ from .instance import Instance
 from .metrics import Ordering
 
 
-def _adjacency(bonds: Iterable[tuple[int, int]], n: int) -> list[list[int]]:
+def _adjacency(bonds: Iterable[tuple[int, int]], n: int) -> list[set[int]]:
     adj: list[set[int]] = [set() for _ in range(n)]
     for i, j in bonds:
         if not (0 <= i < n and 0 <= j < n):
@@ -22,7 +22,7 @@ def _adjacency(bonds: Iterable[tuple[int, int]], n: int) -> list[list[int]]:
             raise ValueError(f"self-loop on vertex {i}")
         adj[i].add(j)
         adj[j].add(i)
-    return [sorted(neighbors) for neighbors in adj]
+    return adj
 
 
 def cuthill_mckee(

@@ -168,3 +168,25 @@ def test_gen_batch_writes_every_seed(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == [f"inst-n6-s{s}.json" for s in (4, 5, 6)]
     for s in (4, 5, 6):
         assert load(out / f"inst-n6-s{s}.json") == generate(6, s)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the search ran although --out cannot be written")
+
+
+def test_solve_checks_out_dir_before_searching(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "branch_and_bound", _never)
+    path = tmp_path / "inst.json"
+    save(generate(8, 1), path)
+    for out in (tmp_path / "nodir" / "r.json", path / "r.json"):  # missing; a file
+        assert main(["solve", "--instance", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("bandopt: --out ")
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_bench_checks_out_dir_before_running(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_suite", _never)
+    out = tmp_path / "nodir" / "r.csv"
+    assert main(["bench", "--sizes", "5", "--per-size", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("bandopt: --out ")
+    assert list(tmp_path.iterdir()) == []

@@ -199,6 +199,19 @@ class TestBranchAndBound:
         assert res.objective == res.lower_bound == 1.0
         assert res.nodes_explored == 0
 
+    def test_optimal_result_reports_its_objective_as_lower_bound(self):
+        # the optimum of this instance lies above max u, so the two rules differ
+        U = interaction_matrix(generate(8, 5))
+        for res in (branch_and_bound(U), brute_force(U)):
+            assert res.status == STATUS_OPTIMAL
+            assert res.lower_bound == res.objective > float(U.u.max())
+
+    def test_timeout_keeps_largest_weight_as_lower_bound(self):
+        U = interaction_matrix(generate(8, 5))
+        res = branch_and_bound(U, SolveConfig(node_limit=1))
+        assert res.status == STATUS_TIMEOUT
+        assert res.lower_bound == float(U.u.max()) < res.objective
+
     def test_reversed_incumbent_is_equal(self):
         U = interaction_matrix(generate(8, 3))
         res = branch_and_bound(U)
@@ -409,11 +422,11 @@ def _slack_table(u, bound):
     """``slack[w][x]``: how far past w's position x may sit and stay under ``bound``.
 
     ``u[w][x] * (p - q) >= bound`` exactly when ``p > q + slack[w][x]``.
-    The whole table, which the search never builds: the reference that
-    ``_slack`` and the partner lists of ``_tight_partners`` are checked on.
+    The whole table by definition, which the search never builds: the
+    reference that the partner lists of ``_tight_partners`` are checked on.
     """
     n = len(u)
-    return [[_slack(w, bound, n) for w in row] for row in u]
+    return [[_slack_by_definition(w, bound, n) for w in row] for row in u]
 
 
 class TestSlackTable:
@@ -422,24 +435,32 @@ class TestSlackTable:
     TIED = (1.0, 2.0, 3.0, 0.3, 0.7, 1.1) + tuple(0.1 * k for k in range(1, 8))
 
     def test_matches_definition_on_tied_weights(self):
-        u = [list(self.TIED)] * len(self.TIED)
-        n = len(u)
+        n = len(self.TIED)
         for w in self.TIED:
             for k in range(1, n + 1):
                 for bound in (w * k, math.nextafter(w * k, 0.0), math.nextafter(w * k, math.inf)):
-                    expected = [_slack_by_definition(x, bound, n) for x in self.TIED]
-                    assert _slack_table(u, bound) == [expected] * n
+                    for x in self.TIED:
+                        assert _slack(x, bound, n) == _slack_by_definition(x, bound, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-40.0, 40.0).map(math.exp), st.integers(2, 40), st.data())
+    def test_matches_definition_on_spread_weights(self, w, n, data):
+        # weights over 35 orders of magnitude; bounds at a product and its float neighbours
+        k = data.draw(st.integers(1, n))
+        for bound in (w * k, math.nextafter(w * k, 0.0), math.nextafter(w * k, math.inf)):
+            assert _slack(w, bound, n) == _slack_by_definition(w, bound, n)
 
     def test_bound_equal_to_a_product(self):
         # 0.1 * 3 == 0.30000000000000004, and that divided by 0.1 exceeds 3,
         # so ceil(bound / w) - 1 gives 3 where the largest k with w*k < bound is 2
         bound = 0.1 * 3
         assert math.ceil(bound / 0.1) - 1 == 3
-        assert _slack_table([[0.0, 0.1], [0.1, 0.0]], bound) == [[2, 2], [2, 2]]
+        assert _slack(0.1, bound, 2) == 2
+        assert _slack(0.1, bound, 5) == 2
 
     def test_zero_diagonal_and_far_bound(self):
-        assert _slack_table([[0.0, 1.0], [1.0, 0.0]], 10.0) == [[2, 2], [2, 2]]
-        assert _slack_table([[0.0, 5.0], [5.0, 0.0]], 5.0) == [[2, 0], [0, 2]]
+        assert [_slack(w, 10.0, 2) for w in (0.0, 1.0)] == [2, 2]
+        assert [_slack(w, 5.0, 2) for w in (0.0, 5.0)] == [2, 0]
 
     @settings(max_examples=100, deadline=None)
     @given(_tied_weights(), st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 7.0]))

@@ -319,6 +319,31 @@ class TestInteractionMatrix:
         with pytest.raises(ValueError):
             InteractionMatrix.from_array(np.array([[0.0, 0.0], [0.0, 0.0]]))
 
+    @staticmethod
+    def _with_weights(weights):
+        """The 3-vertex all-ones matrix with the given pairs' weights replaced."""
+        u = np.ones((3, 3)) - np.eye(3)
+        for (v, w), x in weights.items():
+            u[v, w] = u[w, v] = x
+        return u
+
+    def test_weight_floor_is_the_finite_reciprocal(self):
+        # 1.0 / w is 1.7976931348623143e308 here and overflows one ulp below
+        least = 5.56268464626801e-309
+        InteractionMatrix.from_array(self._with_weights({(0, 1): least}))
+        below = math.nextafter(least, 0.0)
+        assert below == 5.562684646268003e-309
+        message = r"^off-diagonal weight u\[0\]\[1\] = 5\.562684646268003e-309 "
+        with pytest.raises(ValueError, match=message):
+            InteractionMatrix.from_array(self._with_weights({(0, 1): below}))
+
+    def test_error_names_first_offending_pair(self):
+        # the first offending pair in row-major order, not the smallest positive
+        # weight, whose reciprocal also overflows
+        u = self._with_weights({(0, 2): -1.0, (1, 2): 1e-320})
+        with pytest.raises(ValueError, match=r"^off-diagonal weight u\[0\]\[2\] = -1\.0 "):
+            InteractionMatrix.from_array(u)
+
 
 class TestInstance:
     @pytest.mark.parametrize(
