@@ -29,8 +29,11 @@ def _gen_params(n: int, r_min: float | None, box_side: float | None) -> GenParam
 
 
 def _check_out_dir(out: str) -> None:
-    """Fail before a long run, not after it, when ``out`` has no directory to go in."""
-    parent = Path(out).parent
+    """Fail before a long run, not after it, when ``out`` cannot be written as a file."""
+    path = Path(out)
+    if path.is_dir():
+        raise IsADirectoryError(f"--out {out}: is a directory")
+    parent = path.parent
     if not parent.is_dir():
         raise NotADirectoryError(f"--out {out}: {parent} is not a directory")
 

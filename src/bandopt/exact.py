@@ -279,26 +279,22 @@ def branch_and_bound(
     where ``_slack`` makes ``u[w][x] * (p - pos[w]) >= incumbent`` exactly
     ``p > pos[w] + slack[w][x]``; so x is cut at p exactly when
     ``p > due[x]``, with no pass over the placed set.  Placing v at p
-    copies the parent's list and lowers only v's tight partners, those x
-    with ``slack[v][x] < n - p``, walked in ascending slack order up to the
-    first that cannot bind.  An improving leaf takes the objective from
-    ``weighted_bandwidth`` and rebuilds the partner table, O(n^2).  No
-    other depth's list is touched then: each depth, when a child returns
-    under a new table, rebuilds its own with ``_deadlines``, which replays
-    the recurrence down the current path and closes the depth (all
-    deadlines 0) when a vertex on that path misses its new deadline.
+    lowers only v's tight partners, those x with ``slack[v][x] < n - p``,
+    walked in ascending slack order up to the first that cannot bind.  The
+    child shares its parent's list and copies it only when one of those
+    partners' deadlines actually falls; sharing is safe because no depth
+    writes to the list it was handed.  An improving leaf takes the
+    objective from ``weighted_bandwidth`` and rebuilds the partner table,
+    O(n^2).  No other depth's list is touched then: each depth, when a
+    child returns under a new table, rebinds its own to a fresh list from
+    ``_deadlines``, which replays the recurrence down the current path and
+    closes the depth (all deadlines 0) when a vertex on that path misses
+    its new deadline.
 
-    Before placing v at p < n the search looks one depth ahead over the
-    child entry's order: the child can place x only if ``due[x] > p`` and
-    ``u[v][x] < incumbent`` (that is, ``slack[v][x] >= 1``).  A child where
-    no candidate passes would only count its candidates as cut nodes, so
-    the length of its order is added without building the child's
-    deadlines or calling it.  Each depth takes the node count so far as an
-    argument, counts its candidates in a local checked against one
-    threshold, the node limit or the next multiple of 1024, whichever comes
-    first, and returns the count after them.  A count that jumps past the
-    node limit over a skipped child is reported as exactly the limit: the
-    candidates between change no state.
+    Each depth takes the node count so far as an argument, counts its
+    candidates one at a time in a local checked against one threshold, the
+    node limit or the next multiple of 1024, whichever comes first, and
+    returns the count after them.
 
     Stop rules: every stop raises ``_Stop`` with its node count and status
     from inside the one ``try`` around the root call; its ``except`` and
@@ -308,8 +304,8 @@ def branch_and_bound(
     seed already does, which comes before any deadline.  Otherwise
     ``tick``, the one place that reads the deadline, stops the search
     "feasible-timeout" at the node limit or once the deadline has passed;
-    it runs once before the first node (``tick(0)``) and then at least
-    once every 1024 + n nodes.
+    it runs once before the first node (``tick(0)``) and then at every
+    multiple of 1024 nodes.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -343,8 +339,7 @@ def branch_and_bound(
         if k < node_limit and time.perf_counter() < deadline:
             check_at = min(node_limit, (k | _CHECK_MASK) + 1)
             return
-        # a count past the limit was made of cut candidates only
-        raise _Stop(min(k, node_limit), STATUS_TIMEOUT)
+        raise _Stop(k, STATUS_TIMEOUT)
 
     def enter(placed: int, link: dict[int, float]) -> tuple[list[int], dict[int, float]]:
         """Cache and return the placed set's (branching order, links).
@@ -364,7 +359,8 @@ def branch_and_bound(
         """Try the placed set's candidates at p after k nodes; return the count after them.
 
         ``due_p[x]`` is the last position x may take under the incumbent,
-        read only for the unplaced x.  The list is this frame's own.
+        read only for the unplaced x.  The list may be its parent's: no
+        frame writes to the list it was handed.
         """
         nonlocal best_obj, best, tight
         order, link = entry  # link's keys: the unplaced vertices
@@ -384,26 +380,16 @@ def branch_and_bound(
                     raise _Stop(k, STATUS_OPTIMAL)
                 tight = _tight_partners(u, best_obj)
                 return k
-            row = u[v]
             child = placed | 1 << v
-            child_entry = by_set.get(child) or enter(child, _raised(link, row, v))
-            # look ahead: the child can place x only if x passes both due_p
-            # and v's own cut, u[v][x] < incumbent (slack[v][x] >= 1)
-            child_order = child_entry[0]
-            for x in child_order:
-                if due_p[x] > p and row[x] < best_obj:
-                    break
-            else:  # the child would only count its candidates, all cut
-                k += len(child_order)
-                if k >= check_at:
-                    tick(k)
-                continue
-            child_due = due_p[:]
+            child_entry = by_set.get(child) or enter(child, _raised(link, u[v], v))
+            child_due = due_p
             for s, x in tight[v]:
                 if s >= binds:
                     break
                 s += p
                 if s < child_due[x]:
+                    if child_due is due_p:
+                        child_due = due_p[:]
                     child_due[x] = s
             k = extend(p + 1, child, child_entry, child_due, k)
             if tight is not seen:  # the child improved the incumbent: tighten this depth

@@ -178,7 +178,8 @@ def test_solve_checks_out_dir_before_searching(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "branch_and_bound", _never)
     path = tmp_path / "inst.json"
     save(generate(8, 1), path)
-    for out in (tmp_path / "nodir" / "r.json", path / "r.json"):  # missing; a file
+    # a missing parent; a file as parent; an existing directory
+    for out in (tmp_path / "nodir" / "r.json", path / "r.json", tmp_path):
         assert main(["solve", "--instance", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("bandopt: --out ")
     assert list(tmp_path.iterdir()) == [path]
@@ -186,7 +187,7 @@ def test_solve_checks_out_dir_before_searching(tmp_path, capsys, monkeypatch):
 
 def test_bench_checks_out_dir_before_running(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_suite", _never)
-    out = tmp_path / "nodir" / "r.csv"
-    assert main(["bench", "--sizes", "5", "--per-size", "1", "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("bandopt: --out ")
+    for out in (tmp_path / "nodir" / "r.csv", tmp_path):  # a missing parent; a directory
+        assert main(["bench", "--sizes", "5", "--per-size", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("bandopt: --out ")
     assert list(tmp_path.iterdir()) == []
