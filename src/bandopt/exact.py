@@ -37,6 +37,7 @@ STATUS_TIMEOUT = "feasible-timeout"
 
 _BRUTE_FORCE_MAX_N = 10
 _BRUTE_FORCE_TAIL = 7  # trailing positions the oracle enumerates per block (7! rows)
+_BRUTE_FORCE_LEAD = 6  # heaviest pairs the oracle scores every row on
 _CHECK_MASK = 1023  # the deadline is polled when the node count reaches a multiple of 1024
 _ORDER_CACHE_MAX = 4096  # placed sets whose branching order a solve keeps at once
 
@@ -125,7 +126,9 @@ def brute_force(U: InteractionMatrix) -> SolveResult:
     ``nodes_explored = n!`` and the objective as its lower bound.  Refuses
     n > 10 outright (factorial enumeration).  The permutations are scored
     in blocks of ``min(n, _BRUTE_FORCE_TAIL)!`` rows and nothing is kept
-    between calls, so a call needs a few MB at any n.
+    between calls, so a call needs a few MB at any n.  Each block is scored
+    on its ``_BRUTE_FORCE_LEAD`` heaviest pairs first, and only the rows
+    still below the best objective are scored on the rest.
     """
     n = U.n
     if n > _BRUTE_FORCE_MAX_N:
@@ -134,10 +137,21 @@ def brute_force(U: InteractionMatrix) -> SolveResult:
         )
     t0 = time.perf_counter()
     i, j = np.triu_indices(n, 1)
+    heavy = np.argsort(-U.u[i, j], kind="stable")  # heaviest pairs first
+    i, j = i[heavy], j[heavy]
     w = U.u[i, j]
+    h = _BRUTE_FORCE_LEAD
+    lead, rest = (i[:h], j[:h], w[:h]), (i[h:], j[h:], w[h:])
     best_obj, best = math.inf, None
     for block in _position_blocks(n):
-        obj = (np.abs(block[:, i] - block[:, j]) * w).max(axis=1)
+        obj = _scores(block, *lead)
+        # a row already at the best cannot beat it strictly, so only the
+        # others are scored on the remaining pairs
+        live = obj < best_obj
+        if not live.any():
+            continue
+        block = block[live]
+        obj = np.maximum(obj[live], _scores(block, *rest))
         k = int(np.argmin(obj))  # first minimum of the block
         if obj[k] < best_obj:  # strictly: an earlier block keeps its tie
             best_obj, best = float(obj[k]), tuple(block[k].tolist())
@@ -151,12 +165,24 @@ def brute_force(U: InteractionMatrix) -> SolveResult:
     )
 
 
+def _scores(block: np.ndarray, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each row's largest ``w * |position(i) - position(j)|``, 0 over no pairs."""
+    return (np.abs(block[:, i] - block[:, j]) * w).max(axis=1, initial=0.0)
+
+
 def _position_blocks(n: int) -> Iterator[np.ndarray]:
     """Every permutation of 1..n in lexicographic order, as int8 rows of
     positions.  A block is one head, the first n - m positions, m = min(n,
     ``_BRUTE_FORCE_TAIL``), and the rest's m! orderings via one index pattern."""
     m = min(n, _BRUTE_FORCE_TAIL)
-    pattern = np.array([(*range(n - m), *t) for t in permutations(range(n - m, n))], np.intp)
+    # the orderings of 0..k-1 in lexicographic order, for k = 0..m: each
+    # first value in turn, followed by the k-1 orderings over the values left
+    tails = np.zeros((1, 0), np.intp)
+    for k in range(1, m + 1):
+        first = np.repeat(np.arange(k), len(tails))[:, None]
+        rest = np.tile(tails, (k, 1))
+        tails = np.hstack([first, rest + (rest >= first)])
+    pattern = np.hstack([np.broadcast_to(np.arange(n - m), (len(tails), n - m)), tails + (n - m)])
     values = range(1, n + 1)
     for head in permutations(values, n - m):
         yield np.array(head + tuple(v for v in values if v not in head), np.int8)[pattern]

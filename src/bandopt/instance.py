@@ -29,6 +29,7 @@ _KNN = 4
 _REPAIR_MIN_DEGREE = 3
 _ATTEMPTS_PER_SITE = 1000
 _DISTANCE_ROWS = 128
+_PREFIX_MIN_N = 50  # below this many sites a full row sort beats partitioning
 
 
 class GenerationError(RuntimeError):
@@ -181,13 +182,23 @@ class InteractionMatrix:
 
 
 def _pairwise_squared_distances(pts: np.ndarray) -> np.ndarray:
-    # row blocks keep the (rows, n, 2) difference temporary small (2 MB at
-    # n = 1000), so the n x n result is the only large array
+    # dx*dx + dy*dy, one block of rows at a time: dx is squared in the output
+    # rows and dy in one block-sized scratch array (1 MB at n = 1000), so the
+    # n x n result is the only large array.  A square past the float range is
+    # inf, as the caller expects, so its overflow is not reported.
     n = len(pts)
+    x, y = pts[:, 0], pts[:, 1]
     d2 = np.empty((n, n))
-    for i in range(0, n, _DISTANCE_ROWS):
-        diff = pts[i : i + _DISTANCE_ROWS, None, :] - pts[None, :, :]
-        np.einsum("ijk,ijk->ij", diff, diff, out=d2[i : i + _DISTANCE_ROWS])
+    dy = np.empty((min(n, _DISTANCE_ROWS), n))
+    with np.errstate(over="ignore"):
+        for i in range(0, n, _DISTANCE_ROWS):
+            rows = d2[i : i + _DISTANCE_ROWS]
+            scratch = dy[: len(rows)]
+            np.subtract.outer(x[i : i + _DISTANCE_ROWS], x, out=rows)
+            np.subtract.outer(y[i : i + _DISTANCE_ROWS], y, out=scratch)
+            rows *= rows
+            scratch *= scratch
+            rows += scratch
     return d2
 
 
@@ -237,6 +248,29 @@ def _sample_separated_points(
     return pts
 
 
+def _nearest_prefix(d2: np.ndarray, m: int) -> np.ndarray:
+    """The first m columns of each row's stable argsort: by value, ties by index.
+
+    Below ``_PREFIX_MIN_N`` sites the full sort is cheaper.  From there, each
+    block of rows sorts only its m smallest entries by (value, index); a row
+    whose m-th value recurs outside them falls back to the full sort, since
+    the tie then decides which of them belong.
+    """
+    n = d2.shape[1]
+    if n < _PREFIX_MIN_N:
+        return np.argsort(d2, axis=1, kind="stable")[:, :m]
+    rank = np.empty((len(d2), m), np.intp)
+    for i in range(0, len(d2), _DISTANCE_ROWS):
+        rows = d2[i : i + _DISTANCE_ROWS]
+        cand = np.argpartition(rows, m - 1, axis=1)[:, :m]
+        vals = np.take_along_axis(rows, cand, axis=1)
+        best = np.take_along_axis(cand, np.lexsort((cand, vals)), axis=1)
+        tied = np.count_nonzero(rows <= vals.max(axis=1, keepdims=True), axis=1) > m
+        best[tied] = np.argsort(rows[tied], axis=1, kind="stable")[:, :m]
+        rank[i : i + _DISTANCE_ROWS] = best
+    return rank
+
+
 def _mutual_knn_bonds(sites: list[tuple[float, float]]) -> set[tuple[int, int]]:
     """The bond rule; nearest means by distance, ties by index.
 
@@ -250,9 +284,11 @@ def _mutual_knn_bonds(sites: list[tuple[float, float]]) -> set[tuple[int, int]]:
     k = min(_KNN, n - 1)
 
     # each row by distance, ties by index; a vertex is its own column 0 since
-    # d2[v, v] = 0 and generated sites are at least r_min > 0 apart
-    rank = np.argsort(d2, axis=1, kind="stable")
-    nearest = [set(row[1 : k + 1].tolist()) for row in rank]
+    # d2[v, v] = 0 and generated sites are at least r_min > 0 apart.  The
+    # first k + 1 columns suffice: a vertex of degree d < 3 is bonded to at
+    # most d of its next 3, so its repair walk ends within them
+    rank = _nearest_prefix(d2, k + 1).tolist()
+    nearest = [set(row[1:]) for row in rank]
     bonds = {(i, j) for i in range(n) for j in nearest[i] if i < j and i in nearest[j]}
 
     deg = [0] * n
@@ -261,7 +297,7 @@ def _mutual_knn_bonds(sites: list[tuple[float, float]]) -> set[tuple[int, int]]:
         deg[j] += 1
     target = min(_REPAIR_MIN_DEGREE, n - 1)
     for v in range(n):
-        for w in map(int, rank[v, 1:]):
+        for w in rank[v][1:]:
             if deg[v] >= target:
                 break
             bond = (min(v, w), max(v, w))

@@ -165,7 +165,7 @@ class TestBruteForce:
 
     def test_peak_memory_at_n9(self):
         # one 5040-row block at a time, with its index pattern, peaks near
-        # 2.4 MB at n = 9; an n!-row position table with n!-entry products
+        # 2.5 MB at n = 9; an n!-row position table with n!-entry products
         # would need 9.5 MB
         U = interaction_matrix(generate(9, 1))
         tracemalloc.start()

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,8 @@ PINNED_INSTANCES = [
 PINNED_MATRICES = [
     (20, 20000121, "c6622ba05b4eb503314de472fc8a1d57f550e2d238440bea52469811285260d5"),
     (300, 300000942, "42d1ccc9d6b16071713809c74fe755ed5e366f689fc6d66b31cf8c3d5e64c0b9"),
+    # recorded with the einsum distance kernel that dx*dx + dy*dy replaced
+    (1000, 1000003042, "b802ce465a144ab0bcb92b18ff364e048b4afae3fca2022b70134ab0b12b4c38"),
 ]
 
 
@@ -230,6 +233,115 @@ class TestSameSample:
         # r_min = fill * L * sqrt(0.6 / n) passes generate's packing check
         L = 10.0**exponent
         _assert_same_sample(n, seed, GenParams(L=L, r_min=fill * L * math.sqrt(0.6 / n)))
+
+
+def _reference_distances(pts):
+    """The einsum kernel that dx*dx + dy*dy replaced, over all rows at once."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+class TestSameDistances:
+    # 127, 128, 129 and 257 sit at the edges of the kernel's row blocks
+    @pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 257])
+    @pytest.mark.parametrize(
+        "scale", [1e-170, 1e-160, 1e-150, 1.0, 1e150, 1e155, 1e160], ids=lambda s: f"{s:g}"
+    )
+    def test_block_edges_and_extreme_scales(self, n, scale):
+        # at 1e155 and up some squares overflow to inf; at 1e-160 and below
+        # they fall to subnormals or 0
+        pts = np.random.default_rng(n).normal(size=(n, 2)) * scale
+        _assert_same_distances(pts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.floats(-170, 170),
+        lattice=st.booleans(),
+    )
+    def test_random_points(self, n, seed, exponent, lattice):
+        rng = np.random.default_rng(seed)
+        if lattice:
+            pts = rng.integers(-20, 21, size=(n, 2)).astype(float)
+        else:
+            pts = rng.uniform(-1.0, 1.0, size=(n, 2))
+        _assert_same_distances(pts * 10.0**exponent)
+
+
+def _assert_same_distances(pts):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # overflow to inf is expected, never reported
+        d2 = bandopt.instance._pairwise_squared_distances(pts)
+    assert d2.tobytes() == _reference_distances(pts).tobytes()
+
+
+def _reference_bonds(sites):
+    """The bond rule as it read with a full stable argsort of every row."""
+    n = len(sites)
+    d2 = _reference_distances(np.asarray(sites))
+    k = min(bandopt.instance._KNN, n - 1)
+    rank = np.argsort(d2, axis=1, kind="stable")
+    nearest = [set(row[1 : k + 1].tolist()) for row in rank]
+    bonds = {(i, j) for i in range(n) for j in nearest[i] if i < j and i in nearest[j]}
+    deg = [0] * n
+    for i, j in bonds:
+        deg[i] += 1
+        deg[j] += 1
+    target = min(bandopt.instance._REPAIR_MIN_DEGREE, n - 1)
+    for v in range(n):
+        for w in map(int, rank[v, 1:]):
+            if deg[v] >= target:
+                break
+            bond = (min(v, w), max(v, w))
+            if bond not in bonds:
+                bonds.add(bond)
+                deg[v] += 1
+                deg[w] += 1
+    if 2 * len(bonds) < bandopt.instance.DEGREE_WINDOW[0] * n:
+        iu, ju = np.triu_indices(n, 1)
+        for p in np.argsort(d2[iu, ju], kind="stable"):
+            if 2 * len(bonds) >= bandopt.instance.DEGREE_WINDOW[0] * n:
+                break
+            bonds.add((int(iu[p]), int(ju[p])))
+    return bonds
+
+
+def _sites(n, seed, lattice):
+    """n distinct sites: uniform in a sqrt(n) box, or integer lattice points.
+
+    Lattice sites are tie-heavy: a point's 4 nearest are often at distance 1
+    and its next 4 at sqrt(2), so equal distances straddle the 5th column.
+    """
+    rng = np.random.default_rng(seed)
+    if not lattice:
+        return [tuple(p) for p in (math.sqrt(n) * rng.random((n, 2))).tolist()]
+    side = math.ceil(math.sqrt(1.5 * n))
+    cells = rng.choice(side * side, size=n, replace=False)
+    return [(float(c // side), float(c % side)) for c in cells.tolist()]
+
+
+_CUT = bandopt.instance._PREFIX_MIN_N
+
+
+class TestSameBonds:
+    # n = 2-5 bond all k = n - 1 nearest; _CUT is the size from which rows are
+    # ranked by partition rather than fully sorted; 127-129 and 257 sit at
+    # the edges of the row blocks
+    @pytest.mark.parametrize(
+        "n", [2, 3, 4, 5, 6, _CUT - 2, _CUT - 1, _CUT, _CUT + 1, 127, 128, 129, 257]
+    )
+    @pytest.mark.parametrize("lattice", [False, True], ids=["random", "lattice"])
+    def test_sizes(self, n, lattice):
+        for seed in range(3):
+            sites = _sites(n, seed, lattice)
+            assert bandopt.instance._mutual_knn_bonds(sites) == _reference_bonds(sites)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1), lattice=st.booleans())
+    def test_random_sites(self, n, seed, lattice):
+        sites = _sites(n, seed, lattice)
+        assert bandopt.instance._mutual_knn_bonds(sites) == _reference_bonds(sites)
 
 
 class TestInteractionMatrix:
