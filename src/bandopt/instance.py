@@ -320,8 +320,10 @@ def generate(n: int, seed: int, params: GenParams | None = None) -> Instance:
     """Generate a deterministic amorphous point set with ~4-coordinated bonds.
 
     The same (n, seed, params) always reproduces the identical instance,
-    byte-for-byte under ``save``.  Raises GenerationError when the points
-    cannot be packed or the bond structure misses the coordination target.
+    byte-for-byte under ``save``.  Raises GenerationError when the square of
+    the box side or of the separation overflows, when the separation's
+    underflows to 0, when the points cannot be packed or when the bond
+    structure misses the coordination target.
     """
     if n < 2:
         raise ValueError(f"need at least 2 sites, got n={n}")
@@ -335,6 +337,10 @@ def generate(n: int, seed: int, params: GenParams | None = None) -> Instance:
             f"box side {params.L:.4g} or separation {params.r_min:.4g} is too large: "
             f"its square overflows a float"
         ) from None
+    if packed == 0:  # the sampler would compare every squared distance with 0
+        raise GenerationError(
+            f"separation {params.r_min:.4g} is too small: its square underflows to 0"
+        )
     if packed > 0.6 * area:
         raise GenerationError(
             f"packing infeasible: n*r_min^2 = {packed:.4g} is not "

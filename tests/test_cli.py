@@ -162,6 +162,15 @@ def test_gen_rejects_box_whose_square_overflows(tmp_path, capsys, count):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("count", ["1", "3"])
+def test_gen_rejects_separation_whose_square_underflows(tmp_path, capsys, count):
+    out = tmp_path / "x"
+    argv = ["gen", "--n", "20", "--seed", "0", "--box-side", "1e-170", "--r-min", "1e-171"]
+    assert main(argv + ["--count", count, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("bandopt: separation 1e-171 ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_batch_writes_every_seed(tmp_path, capsys):
     out = tmp_path / "d"
     assert main(["gen", "--n", "6", "--seed", "4", "--count", "3", "--out", str(out)]) == 0

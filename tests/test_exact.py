@@ -648,12 +648,77 @@ class TestSameTree:
         )
         assert peak < 150_000
 
+    def test_memo_is_bounded(self, monkeypatch):
+        # with both caches at 16 entries this solve's traced peak is about
+        # 69 kB; the memo at its 1,024 counts adds about 0.23 MB and an
+        # unbounded one about 0.7 MB.  A full collection empties the
+        # interpreter's free lists, so earlier solves' tuples do not hide
+        # the memo's keys from tracemalloc
+        U = interaction_matrix(generate(20, 20000042))
+        cfg = SolveConfig()
+        full = branch_and_bound(U, cfg)
+        monkeypatch.setattr(exact, "_ORDER_CACHE_MAX", 16)
+        monkeypatch.setattr(exact, "_MEMO_MAX", 16)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            capped = branch_and_bound(U, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (capped.objective, capped.status, capped.nodes_explored, capped.ordering) == (
+            full.objective, full.status, full.nodes_explored, full.ordering
+        )
+        assert peak < 150_000
+
+
+class TestMemo:
+    """The replay memo looking up every child, under caps of 1, 3 and the default.
+
+    Every child frame, down to the ones with one vertex unplaced, is
+    looked up, and the memo is emptied whenever it holds ``cap`` counts,
+    so entries are stored, replayed and dropped at every depth, and node
+    limits fall inside replayed subtrees.
+    """
+
+    @staticmethod
+    def _assert_same_tree_memo_everywhere(cap, case):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_MEMO_MIN_PLACED", 0)
+            mp.setattr(exact, "_MEMO_MIN_UNPLACED", 1)
+            mp.setattr(exact, "_MEMO_MAX", cap)
+            _assert_same_tree(*case)
+
+    @pytest.mark.parametrize("cap", [1, 3, exact._MEMO_MAX])
+    @settings(max_examples=400, deadline=None)
+    @given(case=_search_cases())
+    def test_memo_everywhere_matches_placed_set_scan(self, cap, case):
+        self._assert_same_tree_memo_everywhere(cap, case)
+
+    @pytest.mark.parametrize("cap", [1, 3, exact._MEMO_MAX])
+    @settings(max_examples=100, deadline=None)
+    @given(case=_search_cases(sizes=(10, 14), max_nodes=5000))
+    def test_memo_everywhere_matches_placed_set_scan_at_paper_sizes(self, cap, case):
+        self._assert_same_tree_memo_everywhere(cap, case)
+
+    @pytest.mark.parametrize("seed", [7000002, 7000023])
+    @pytest.mark.parametrize("sym", [True, False])
+    def test_counts_from_an_older_incumbent_are_dropped(self, seed, sym):
+        # with the lower-bound stop off these solves improve the incumbent
+        # after many subtrees were counted under the older, looser
+        # deadlines; replaying those counts adds nodes the search no
+        # longer visits
+        U = interaction_matrix(generate(7, seed))
+        cfg = SolveConfig(use_lower_bound=False, use_symmetry_breaking=sym)
+        self._assert_same_tree_memo_everywhere(exact._MEMO_MAX, (U, cfg, None))
+
 
 class TestLimits:
     def test_every_node_limit_matches_reference(self):
         # 1,925 nodes, improving at nodes 141, 450 and 1,925 (the bound stop);
         # the limits fall on live candidates, on cut ones and inside
-        # children whose candidates are all cut
+        # children whose candidates are all cut.  The memo replays 36
+        # subtrees, 534 of these nodes, so limits also fall inside replays
         U = interaction_matrix(generate(11, 11000108))
         incumbents = []
         full = _reference_solve(U, SolveConfig(), None, incumbents)

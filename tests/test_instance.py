@@ -81,6 +81,16 @@ class TestGenerate:
             with pytest.raises(GenerationError, match="overflows"):
                 generate(8, 1, params)
 
+    def test_square_underflow_is_generation_error(self):
+        # a separation whose square is 0 would make the sampler's separation
+        # test vacuous; with the box's squares 0 too, every squared distance
+        # is 0 and the bonds, not the box, were blamed.  Subnormal squares
+        # still generate
+        assert generate(20, 0, GenParams(L=1e-160, r_min=1e-161)).n == 20
+        for params in (GenParams(L=1e-170, r_min=1e-171), GenParams(L=1.0, r_min=1e-170)):
+            with pytest.raises(GenerationError, match="separation .* underflows to 0"):
+                generate(20, 0, params)
+
     @pytest.mark.parametrize(
         "params",
         [
