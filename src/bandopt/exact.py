@@ -40,9 +40,8 @@ _BRUTE_FORCE_MAX_N = 10
 _BRUTE_FORCE_TAIL = 7  # trailing positions the oracle enumerates per block (7! rows)
 _BRUTE_FORCE_LEAD = 6  # heaviest pairs the oracle scores every row on
 _CHECK_MASK = 1023  # the deadline is polled when the node count reaches a multiple of 1024
-_ORDER_CACHE_MAX = 4096  # placed sets whose branching order a solve keeps at once
-_MEMO_MAX = 1024  # searched subtrees whose node count a solve keeps at once
-_MEMO_MIN_PLACED = 5  # the memo looks up children with at least this many vertices placed
+_CACHE_MAX = 1024  # entries a solve keeps at once in its order cache and in its memo
+_MEMO_MIN_PLACED = 5  # a frame looks itself up when at least this many vertices are placed
 _MEMO_MIN_UNPLACED = 4  # and at least this many unplaced
 
 
@@ -79,10 +78,11 @@ class SolveResult:
     ``lower_bound`` is what the solve proved: the objective itself when the
     status is "optimal", ``theoretical_lower_bound`` after a timeout.
     Construction checks the certificate: ``0 <= lower_bound <= objective``
-    with a finite objective, a known status, an int ``nodes_explored >= 0``
-    and a finite ``wall_time >= 0``; the three numbers are ints or floats,
-    never bools.  A violation raises SchemaError naming the field as the
-    result document spells it.
+    with a finite objective, equality when the status is "optimal", a
+    known status, an int ``nodes_explored >= 0`` and a finite
+    ``wall_time >= 0``; the three numbers are ints or floats, never bools.
+    A violation raises SchemaError naming the field as the result document
+    spells it.
     """
 
     ordering: Ordering
@@ -104,6 +104,12 @@ class SolveResult:
             )
         if self.status not in (STATUS_OPTIMAL, STATUS_TIMEOUT):
             raise SchemaError("status", f'unknown status "{self.status}"')
+        if self.status == STATUS_OPTIMAL and self.lower_bound != self.objective:
+            raise SchemaError(
+                "lower_bound",
+                f"an optimal result's lower_bound must equal its objective {self.objective!r}, "
+                f"got {self.lower_bound!r}",
+            )
         nodes = self.nodes_explored
         if not isinstance(nodes, int) or isinstance(nodes, bool) or nodes < 0:
             raise SchemaError("nodes", f"nodes must be an int >= 0, got {nodes!r}")
@@ -279,6 +285,11 @@ def _deadlines(tight: list[list[tuple[int, int]]], at: tuple[int, ...], p: int) 
     return due
 
 
+# a placed set's cache entry in branch_and_bound: its branching order, its links
+# and the getter of its unplaced vertices' deadlines (None outside the memo's band)
+_Entry = tuple[list[int], dict[int, float], itemgetter | None]
+
+
 def branch_and_bound(
     U: InteractionMatrix,
     cfg: SolveConfig | None = None,
@@ -302,9 +313,9 @@ def branch_and_bound(
     are its parent's raised by the row of the vertex just placed.  The
     entry carries the symmetry rule: at the forced depth a set without the
     anchor has the order ``[anchor]``, every other set ``_by_link``'s.  The
-    cache is emptied whenever it holds ``_ORDER_CACHE_MAX`` sets, which
-    bounds its memory and, since an entry depends only on its set, changes
-    no order.  Each depth also owns a deadline list, handed to it by its
+    cache is emptied whenever it holds ``_CACHE_MAX`` sets, which bounds
+    its memory and, since an entry depends only on its set, changes no
+    order.  Each depth also owns a deadline list, handed to it by its
     parent, ``due[x] = min(n, min over placed w of pos[w] + slack[w][x])``,
     where ``_slack`` makes ``u[w][x] * (p - pos[w]) >= incumbent`` exactly
     ``p > pos[w] + slack[w][x]``; so x is cut at p exactly when
@@ -321,28 +332,29 @@ def branch_and_bound(
     closes the depth (all deadlines 0) when a vertex on that path misses
     its new deadline.
 
-    A memo then skips subtrees already searched.  A child that returns
+    A memo then skips subtrees already searched.  A frame that returns
     with the partner table unchanged reached no leaf, since every leaf
     improves the incumbent; it wrote neither the incumbent nor the table,
     and the ``pos`` entries it left are rewritten before they are read.
     So its node count depends only on its placed set, the deadlines of its
     unplaced vertices and the table.  The memo keeps that count, keyed by
-    the child's bitmask and those deadlines, read in ascending vertex order
-    by an ``itemgetter`` built on the set's first lookup and kept like its
-    order; a placed vertex's deadline depends on the path and would split
-    equal states.  A frame whose children have at least
-    ``_MEMO_MIN_PLACED`` vertices placed and ``_MEMO_MIN_UNPLACED``
-    unplaced calls ``lookup`` on each of them instead of ``extend``, a
-    choice made once per depth, so other frames do no memo work.  Below
-    that band a subtree is too small to repay the lookup, and above it a
-    set has too few placed vertices to be met again through another order
-    of them; at n = 8 no depth repaid it, so n <= 8 never uses the memo.
-    A hit adds the count and makes the ``tick`` calls the search would
-    have made on the way, with the same arguments, so a limit that falls
-    inside the replayed subtree stops at the same count with the same
-    incumbent.  The memo is emptied on every improvement, which changes
-    the table, and whenever it holds ``_MEMO_MAX`` counts, about 0.23 MB
-    at n = 20 against the order cache's 2 MB.
+    the set's bitmask and those deadlines, read in ascending vertex order
+    by an ``itemgetter`` in the set's entry; a placed vertex's deadline
+    depends on the path and would split equal states.  Only a set with at
+    least ``_MEMO_MIN_PLACED`` vertices placed and ``_MEMO_MIN_UNPLACED``
+    unplaced gets a getter, so frames of other sets do no memo work.
+    Below that band a subtree is too small to repay the lookup, and above
+    it a set has too few placed vertices to be met again through another
+    order of them; at n = 8 no set repaid it, so n <= 8 builds no getter.
+    A frame with a getter looks its own state up on entry.  A hit adds the
+    count and makes the ``tick`` calls the search would have made on the
+    way, with the same arguments, so a limit that falls inside the
+    replayed subtree stops at the same count with the same incumbent; a
+    miss searches and stores its count if the table is unchanged.  The
+    memo is emptied on every improvement, which changes the table, and,
+    like the order cache, whenever it holds ``_CACHE_MAX`` entries: at
+    n = 20 a full order cache, getters included, traces about 0.70 MB and
+    a full memo about 0.22 MB.
 
     Each depth takes the node count so far as an argument, counts its
     candidates one at a time in a local checked against one threshold, the
@@ -383,13 +395,12 @@ def branch_and_bound(
     check_at = 0  # the node count at which tick next runs; tick(0) sets the first
     pos = [0] * n  # read only at a leaf, where every entry was written on the current path
     tight: list[list[tuple[int, int]]] = []
-    # each placed set's (branching order, links), keyed by its bitmask
-    by_set: dict[int, tuple[list[int], dict[int, float]]] = {}
-    # the node count of each child subtree searched under the current
-    # partner table, keyed by the child's bitmask and unplaced deadlines,
-    # and the getter of those deadlines for each set the memo looks up
+    by_set: dict[int, _Entry] = {}  # each placed set's entry, keyed by its bitmask
+    # the node count of each subtree searched under the current partner
+    # table, keyed by its bitmask and unplaced deadlines
     memo: dict[tuple[int, object], int] = {}
-    due_of: dict[int, itemgetter] = {}
+    # the placed counts of the sets whose frames look themselves up
+    looks_up = range(_MEMO_MIN_PLACED, n - _MEMO_MIN_UNPLACED + 1)
 
     def tick(k: int) -> None:
         """Stop at the node limit or past the deadline, else set the next check."""
@@ -399,31 +410,39 @@ def branch_and_bound(
             return
         raise _Stop(k, STATUS_TIMEOUT)
 
-    def enter(placed: int, link: dict[int, float]) -> tuple[list[int], dict[int, float]]:
-        """Cache and return the placed set's (branching order, links).
+    def enter(placed: int, link: dict[int, float]) -> _Entry:
+        """Cache and return the placed set's entry.
 
         A set at the forced depth, which leaves ``n + 1 - forced`` vertices
         unplaced, branches on the anchor alone while the anchor is unplaced.
         """
-        if len(by_set) >= _ORDER_CACHE_MAX:
+        if len(by_set) >= _CACHE_MAX:
             by_set.clear()  # an entry depends only on its set: the tree is unchanged
         at_forced = len(link) == n + 1 - forced and anchor in link  # never when forced is 0
-        by_set[placed] = entry = ([anchor] if at_forced else _by_link(link), link)
+        unplaced_due = itemgetter(*link) if n - len(link) in looks_up else None
+        by_set[placed] = entry = ([anchor] if at_forced else _by_link(link), link, unplaced_due)
         return entry
 
-    def extend(
-        p: int, placed: int, entry: tuple[list[int], dict[int, float]], due_p: list[int], k: int
-    ) -> int:
+    def extend(p: int, placed: int, entry: _Entry, due_p: list[int], k: int) -> int:
         """Try the placed set's candidates at p after k nodes; return the count after them.
 
         ``due_p[x]`` is the last position x may take under the incumbent,
         read only for the unplaced x.  The list may be its parent's: no
-        frame writes to the list it was handed.
+        frame writes to the list it was handed.  A frame whose entry has a
+        getter first looks its state up in the memo.
         """
         nonlocal best_obj, best, tight
-        order, link = entry  # link's keys: the unplaced vertices
+        order, link, unplaced_due = entry  # link's keys: the unplaced vertices
+        if unplaced_due:
+            key = (placed, unplaced_due(due_p))
+            size = memo.get(key)
+            if size:  # a subtree counts at least one node
+                k += size
+                while k >= check_at:  # the polls the search would have made on the way
+                    tick(check_at)
+                return k
+            table, start = tight, k
         binds = n - p  # a partner's deadline falls only when its slack is below this
-        descend = descend_at[p]  # lookup or extend, chosen once per depth
         seen = tight  # the partner table due_p was built under
         for v in order:
             k += 1
@@ -451,40 +470,15 @@ def branch_and_bound(
                     if child_due is due_p:
                         child_due = due_p[:]
                     child_due[x] = s
-            k = descend(p + 1, child, child_entry, child_due, k)
+            k = extend(p + 1, child, child_entry, child_due, k)
             if tight is not seen:  # the child improved the incumbent: tighten this depth
                 seen = tight
                 due_p = _deadlines(tight, best.vertex_at(), p)
-        return k
-
-    def lookup(
-        p: int, placed: int, entry: tuple[list[int], dict[int, float]], due_p: list[int], k: int
-    ) -> int:
-        """``extend``, or the replay of its count when the state was searched under this table."""
-        unplaced_due = due_of.get(placed)
-        if unplaced_due is None:
-            if len(due_of) >= _ORDER_CACHE_MAX:
-                due_of.clear()  # a getter depends only on its set
-            unplaced_due = due_of[placed] = itemgetter(*entry[1])
-        key = (placed, unplaced_due(due_p))
-        size = memo.get(key)
-        if size:  # a subtree counts at least one node
-            k += size
-            while k >= check_at:  # the polls the search would have made on the way
-                tick(check_at)
-            return k
-        seen = tight
-        after = extend(p, placed, entry, due_p, k)
-        if tight is seen:  # no leaf below: the count depends on the key alone
-            if len(memo) >= _MEMO_MAX:
+        if unplaced_due and tight is table:  # no leaf below: the count depends on the key alone
+            if len(memo) >= _CACHE_MAX:
                 memo.clear()
-            memo[key] = after - k
-        return after
-
-    # a frame at depth p looks its children up, the sets with p vertices
-    # placed, when descend_at[p] is lookup
-    looks_up = range(_MEMO_MIN_PLACED, n - _MEMO_MIN_UNPLACED + 1)
-    descend_at = [lookup if p in looks_up else extend for p in range(n + 1)]
+            memo[key] = k - start
+        return k
 
     try:
         if use_lb and best_obj == lower_bound:
@@ -495,10 +489,9 @@ def branch_and_bound(
         status = STATUS_OPTIMAL
     except _Stop as stop:
         nodes, status = stop.args
-    # extend reaches itself through its closure, directly and through
-    # descend_at and lookup; break those cycles so the search state is
-    # freed now rather than by the cyclic garbage collector
-    del extend, descend_at
+    # extend reaches itself through its closure; break that cycle so the
+    # search state is freed now rather than by the cyclic garbage collector
+    del extend
 
     return SolveResult(
         ordering=best,

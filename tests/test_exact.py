@@ -8,6 +8,7 @@ import math
 import re
 import time
 import tracemalloc
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -629,36 +630,18 @@ class TestSameTree:
         for U in (first, second, first):
             _assert_same_tree(U, cfg, None)
 
-    def test_order_cache_is_bounded(self, monkeypatch):
-        # this solve reaches 917 placed sets, about 0.44 MB of orders and links
-        # when all are kept; a full cache is emptied, which changes no order
-        # and so not the tree
+    def test_caches_are_bounded(self, monkeypatch):
+        # this solve reaches 917 placed sets.  With the one cap at 16
+        # entries, on the order cache and the memo alike, its traced peak is
+        # about 65 kB; at the default 1,024 it is about 0.81 MB, and 1.33 MB
+        # with neither cache emptied.  An emptied cache changes no order and
+        # a dropped count is searched again, so the tree is unchanged.  A
+        # full collection empties the interpreter's free lists, so earlier
+        # solves' tuples do not hide the memo's keys from tracemalloc
         U = interaction_matrix(generate(20, 20000042))
         cfg = SolveConfig()
         full = branch_and_bound(U, cfg)
-        monkeypatch.setattr(exact, "_ORDER_CACHE_MAX", 16)
-        tracemalloc.start()
-        try:
-            capped = branch_and_bound(U, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (capped.objective, capped.status, capped.nodes_explored, capped.ordering) == (
-            full.objective, full.status, full.nodes_explored, full.ordering
-        )
-        assert peak < 150_000
-
-    def test_memo_is_bounded(self, monkeypatch):
-        # with both caches at 16 entries this solve's traced peak is about
-        # 69 kB; the memo at its 1,024 counts adds about 0.23 MB and an
-        # unbounded one about 0.7 MB.  A full collection empties the
-        # interpreter's free lists, so earlier solves' tuples do not hide
-        # the memo's keys from tracemalloc
-        U = interaction_matrix(generate(20, 20000042))
-        cfg = SolveConfig()
-        full = branch_and_bound(U, cfg)
-        monkeypatch.setattr(exact, "_ORDER_CACHE_MAX", 16)
-        monkeypatch.setattr(exact, "_MEMO_MAX", 16)
+        monkeypatch.setattr(exact, "_CACHE_MAX", 16)
         gc.collect()
         tracemalloc.start()
         try:
@@ -673,12 +656,14 @@ class TestSameTree:
 
 
 class TestMemo:
-    """The replay memo looking up every child, under caps of 1, 3 and the default.
+    """The replay memo in every frame, under caps of 1, 3 and the default.
 
-    Every child frame, down to the ones with one vertex unplaced, is
-    looked up, and the memo is emptied whenever it holds ``cap`` counts,
-    so entries are stored, replayed and dropped at every depth, and node
-    limits fall inside replayed subtrees.
+    Every frame, from the root down to the ones with one vertex unplaced,
+    looks itself up, and both caches are emptied whenever they hold
+    ``cap`` entries: memo counts are stored, replayed and dropped at every
+    depth, node limits fall inside replayed subtrees, and at caps 1 and 3
+    the order cache, getters included, is emptied and rebuilt at every
+    depth too.
     """
 
     @staticmethod
@@ -686,16 +671,16 @@ class TestMemo:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(exact, "_MEMO_MIN_PLACED", 0)
             mp.setattr(exact, "_MEMO_MIN_UNPLACED", 1)
-            mp.setattr(exact, "_MEMO_MAX", cap)
+            mp.setattr(exact, "_CACHE_MAX", cap)
             _assert_same_tree(*case)
 
-    @pytest.mark.parametrize("cap", [1, 3, exact._MEMO_MAX])
+    @pytest.mark.parametrize("cap", [1, 3, exact._CACHE_MAX])
     @settings(max_examples=400, deadline=None)
     @given(case=_search_cases())
     def test_memo_everywhere_matches_placed_set_scan(self, cap, case):
         self._assert_same_tree_memo_everywhere(cap, case)
 
-    @pytest.mark.parametrize("cap", [1, 3, exact._MEMO_MAX])
+    @pytest.mark.parametrize("cap", [1, 3, exact._CACHE_MAX])
     @settings(max_examples=100, deadline=None)
     @given(case=_search_cases(sizes=(10, 14), max_nodes=5000))
     def test_memo_everywhere_matches_placed_set_scan_at_paper_sizes(self, cap, case):
@@ -710,7 +695,25 @@ class TestMemo:
         # longer visits
         U = interaction_matrix(generate(7, seed))
         cfg = SolveConfig(use_lower_bound=False, use_symmetry_breaking=sym)
-        self._assert_same_tree_memo_everywhere(exact._MEMO_MAX, (U, cfg, None))
+        self._assert_same_tree_memo_everywhere(exact._CACHE_MAX, (U, cfg, None))
+
+    def test_no_getter_at_n_8(self, monkeypatch):
+        # no n = 8 set lies in the memo's band, so the certificates at that
+        # size do no memo work; an n = 15 search does
+        built = []
+
+        def counting_itemgetter(*items):
+            built.append(items)
+            return itemgetter(*items)
+
+        monkeypatch.setattr(exact, "itemgetter", counting_itemgetter)
+        for seed in range(8000000, 8000010):
+            U = interaction_matrix(generate(8, seed))
+            for lb, sym in itertools.product((True, False), repeat=2):
+                branch_and_bound(U, SolveConfig(use_lower_bound=lb, use_symmetry_breaking=sym))
+        assert built == []
+        branch_and_bound(interaction_matrix(generate(15, 15000042)), SolveConfig(node_limit=5000))
+        assert built
 
 
 class TestLimits:
@@ -892,6 +895,7 @@ class TestResultSerialization:
             ({"objective": "1.5"}, "objective"),
             ({"lower_bound": 2.0}, "lower_bound"),
             ({"lower_bound": -0.5}, "lower_bound"),
+            ({"lower_bound": 1.0}, "lower_bound"),
             ({"status": "banana"}, "status"),
             ({"wall_time_s": math.inf}, "wall_time_s"),
             ({"wall_time_s": -1.0}, "wall_time_s"),
@@ -903,7 +907,7 @@ class TestResultSerialization:
             "wrong-tag", "invalid-json", "not-an-object", "missing-objective",
             "missing-ordering", "string-nodes", "float-nodes", "bool-nodes",
             "negative-nodes", "infinite-objective", "nan-objective", "string-objective",
-            "bound-above-objective", "negative-bound", "unknown-status",
+            "bound-above-objective", "negative-bound", "optimal-with-open-gap", "unknown-status",
             "infinite-wall-time", "negative-wall-time", "float-positions",
             "bool-position", "non-bijection",
         ],
@@ -916,7 +920,7 @@ class TestResultSerialization:
             doc = {
                 "schema": "bandopt-result/1",
                 "objective": 1.5,
-                "lower_bound": 1.0,
+                "lower_bound": 1.5,
                 "status": STATUS_OPTIMAL,
                 "nodes": 7,
                 "wall_time_s": 0.25,
@@ -935,6 +939,7 @@ class TestResultSerialization:
             (dict(objective=-1.0, lower_bound=-2.0), "objective"),
             (dict(lower_bound=2.0), "lower_bound"),
             (dict(lower_bound=math.nan), "lower_bound"),
+            (dict(lower_bound=1.0), "lower_bound"),
             (dict(status="banana"), "status"),
             (dict(nodes_explored=-1), "nodes"),
             (dict(nodes_explored=2.5), "nodes"),
@@ -947,7 +952,8 @@ class TestResultSerialization:
         ],
         ids=[
             "infinite-objective", "negative-objective", "bound-above-objective",
-            "nan-bound", "unknown-status", "negative-nodes", "fractional-nodes",
+            "nan-bound", "optimal-with-open-gap", "unknown-status", "negative-nodes",
+            "fractional-nodes",
             "bool-nodes", "nan-wall-time", "bool-objective", "bool-bound",
             "str-objective", "bool-wall-time",
         ],
@@ -957,7 +963,7 @@ class TestResultSerialization:
         valid = dict(
             ordering=Ordering((2, 1, 3)),
             objective=1.5,
-            lower_bound=1.0,
+            lower_bound=1.5,
             status=STATUS_OPTIMAL,
             nodes_explored=7,
             wall_time=0.25,
