@@ -28,7 +28,7 @@ def _gen_params(n: int, r_min: float | None, box_side: float | None) -> GenParam
     )
 
 
-def _check_out_dir(out: str) -> None:
+def _check_out_dir(out: str | Path) -> None:
     """Fail before a long run, not after it, when ``out`` cannot be written as a file."""
     path = Path(out)
     if path.is_dir():
@@ -103,12 +103,13 @@ def _cmd_lp(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     cfg = SolveConfig(time_limit=args.time_limit)
-    _check_out_dir(args.out)
-    report = run_suite(sizes, args.per_size, args.seed, cfg, ab_compare=args.ab_reinforcements)
     out = Path(args.out)
+    summary_path = out.with_suffix(".summary.json")
+    for path in (out, summary_path):
+        _check_out_dir(path)
+    report = run_suite(sizes, args.per_size, args.seed, cfg, ab_compare=args.ab_reinforcements)
     save_report(report, out)
     summary = summarize(report)
-    summary_path = out.with_suffix(".summary.json")
     save_summary(summary, summary_path)
     overall = summary["overall"]
     print(

@@ -22,8 +22,10 @@ import numpy as np
 
 from .instance import (
     InteractionMatrix,
-    SchemaError,
+    _check,
     _dump_doc,
+    _is_finite,
+    _is_int,
     _is_number,
     _parse_doc,
     _read_doc,
@@ -35,6 +37,7 @@ SCHEMA_RESULT = "bandopt-result/1"
 
 STATUS_OPTIMAL = "optimal"
 STATUS_TIMEOUT = "feasible-timeout"
+STATUSES = (STATUS_OPTIMAL, STATUS_TIMEOUT)
 
 _BRUTE_FORCE_MAX_N = 10
 _BRUTE_FORCE_TAIL = 7  # trailing positions the oracle enumerates per block (7! rows)
@@ -53,8 +56,8 @@ class SolveConfig:
     and adds ``export_lp``'s ``lb`` row; ``use_symmetry_breaking`` confines
     the anchor vertex, always ``default_anchor``, to the first half of the positions.
     Node counts are reproducible for every configuration.  Construction
-    checks that ``time_limit`` is an int or float (not a bool) above 0 and
-    that ``node_limit`` is an int (not a bool) of at least 1.
+    checks that ``time_limit`` is a number above 0 and that ``node_limit``
+    is None or an int of at least 1, else SchemaError naming the field.
     """
 
     use_lower_bound: bool = True
@@ -63,12 +66,12 @@ class SolveConfig:
     node_limit: int | None = None
 
     def __post_init__(self):
-        limit = self.time_limit
-        if not (_is_number(limit) and limit > 0):  # also rejects NaN: no deadline would pass
-            raise ValueError(f"time_limit must be a positive number, got {limit!r}")
-        limit = self.node_limit
-        if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool) or limit < 1):
-            raise ValueError(f"node_limit must be an int of at least 1, got {limit!r}")
+        seconds, nodes = self.time_limit, self.node_limit
+        _check(
+            # NaN fails too: no deadline would pass
+            ("time_limit", _is_number(seconds) and seconds > 0, "a number > 0", seconds),
+            ("node_limit", nodes is None or _is_int(nodes) and nodes >= 1, "None or an int >= 1", nodes),
+        )
 
 
 @dataclass(frozen=True)
@@ -77,12 +80,11 @@ class SolveResult:
 
     ``lower_bound`` is what the solve proved: the objective itself when the
     status is "optimal", ``theoretical_lower_bound`` after a timeout.
-    Construction checks the certificate: ``0 <= lower_bound <= objective``
-    with a finite objective, equality when the status is "optimal", a
-    known status, an int ``nodes_explored >= 0`` and a finite
-    ``wall_time >= 0``; the three numbers are ints or floats, never bools.
-    A violation raises SchemaError naming the field as the result document
-    spells it.
+    Construction checks the certificate, else SchemaError naming the field as
+    the result document spells it: an ``Ordering``, a finite ``objective >= 0``,
+    ``0 <= lower_bound <= objective`` with equality when the status is
+    "optimal", a known status, an int ``nodes_explored >= 0`` and a finite
+    ``wall_time >= 0``.  So every result that constructs round-trips.
     """
 
     ordering: Ordering
@@ -93,30 +95,19 @@ class SolveResult:
     wall_time: float
 
     def __post_init__(self):
-        if not (_is_number(self.objective) and 0 <= self.objective < math.inf):
-            raise SchemaError(
-                "objective", f"objective must be a finite number >= 0, got {self.objective!r}"
-            )
-        if not (_is_number(self.lower_bound) and 0 <= self.lower_bound <= self.objective):
-            raise SchemaError(
-                "lower_bound",
-                f"lower_bound must be a number in [0, objective], got {self.lower_bound!r}",
-            )
-        if self.status not in (STATUS_OPTIMAL, STATUS_TIMEOUT):
-            raise SchemaError("status", f'unknown status "{self.status}"')
-        if self.status == STATUS_OPTIMAL and self.lower_bound != self.objective:
-            raise SchemaError(
-                "lower_bound",
-                f"an optimal result's lower_bound must equal its objective {self.objective!r}, "
-                f"got {self.lower_bound!r}",
-            )
-        nodes = self.nodes_explored
-        if not isinstance(nodes, int) or isinstance(nodes, bool) or nodes < 0:
-            raise SchemaError("nodes", f"nodes must be an int >= 0, got {nodes!r}")
-        if not (_is_number(self.wall_time) and 0 <= self.wall_time < math.inf):
-            raise SchemaError(
-                "wall_time_s", f"wall_time_s must be a finite number >= 0, got {self.wall_time!r}"
-            )
+        obj, lb, nodes, wall = self.objective, self.lower_bound, self.nodes_explored, self.wall_time
+        obj_ok = _is_finite(obj) and obj >= 0
+        lb_ok = obj_ok and _is_number(lb) and 0 <= lb <= obj
+        optimal_ok = lb_ok and (self.status != STATUS_OPTIMAL or lb == obj)
+        _check(
+            ("objective", obj_ok, "a finite number >= 0", obj),
+            ("lower_bound", lb_ok, "a number in [0, objective]", lb),
+            ("status", self.status in STATUSES, "a known status", self.status),
+            ("lower_bound", optimal_ok, "the objective of an optimal result", lb),
+            ("nodes", _is_int(nodes) and nodes >= 0, "an int >= 0", nodes),
+            ("wall_time_s", _is_finite(wall) and wall >= 0, "a finite number >= 0", wall),
+            ("ordering", isinstance(self.ordering, Ordering), "an Ordering", self.ordering),
+        )
 
 
 def theoretical_lower_bound(U: InteractionMatrix) -> float:

@@ -9,16 +9,18 @@ through CSV byte-identically.
 from __future__ import annotations
 
 import json
-import math
 import statistics
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
-from .exact import STATUS_OPTIMAL, STATUS_TIMEOUT, SolveConfig, branch_and_bound
+from .exact import STATUS_OPTIMAL, STATUSES, SolveConfig, branch_and_bound
 from .instance import (
     GenerationError,
     SchemaError,
-    _is_number,
+    _check,
+    _is_finite,
+    _is_int,
+    _is_seed,
     _read_doc,
     generate,
     interaction_matrix,
@@ -40,9 +42,9 @@ class GapRow:
     found; ``status`` says whether it is proven optimal.
 
     Construction checks each cell and raises SchemaError naming its CSV
-    column: an id free of ``,``, CR and LF; ``n >= 2``; a seed in [0, 2**64);
-    a known status; node counts are ints >= 0 (``nodes_off`` may be None);
-    the floats are finite, with ``opt > 0`` and ``wall_time_s >= 0``.
+    column: a str id free of ``,``, CR and LF; an int ``n >= 2``; a 64-bit
+    unsigned int seed; a known status; int node counts >= 0 (``nodes_off``
+    may be None); finite numbers, with ``opt > 0`` and ``wall_time_s >= 0``.
     """
 
     id: str
@@ -57,26 +59,19 @@ class GapRow:
     wall_time_s: float
 
     def __post_init__(self):
-        off = self.nodes_off
-        for column, holds, requirement in (
-            ("id", type(self.id) is str and set(",\r\n").isdisjoint(self.id), "free of , CR LF"),
-            ("n", type(self.n) is int and self.n >= 2, "an int >= 2"),
-            ("seed", type(self.seed) is int and 0 <= self.seed < 2**64, "an int in [0, 2**64)"),
-            ("obj_rcm", _is_finite(self.obj_rcm), "a finite number"),
-            ("opt", _is_finite(self.opt) and self.opt > 0, "a finite number > 0"),
-            ("gap_percent", _is_finite(self.gap_percent), "a finite number"),
-            ("status", self.status in (STATUS_OPTIMAL, STATUS_TIMEOUT), "a known status"),
-            ("nodes_on", type(self.nodes_on) is int and self.nodes_on >= 0, "an int >= 0"),
-            ("nodes_off", off is None or type(off) is int and off >= 0, "empty or an int >= 0"),
-            ("wall_time_s", _is_finite(self.wall_time_s) and self.wall_time_s >= 0, "finite, >= 0"),
-        ):
-            if not holds:
-                value = getattr(self, column)
-                raise SchemaError(column, f"{column} must be {requirement}, got {value!r}")
-
-
-def _is_finite(value: object) -> bool:
-    return _is_number(value) and math.isfinite(value)
+        id_, off, wall = self.id, self.nodes_off, self.wall_time_s
+        _check(
+            ("id", isinstance(id_, str) and set(",\r\n").isdisjoint(id_), "a str free of , CR LF", id_),
+            ("n", _is_int(self.n) and self.n >= 2, "an int >= 2", self.n),
+            ("seed", _is_seed(self.seed), "a 64-bit unsigned integer", self.seed),
+            ("obj_rcm", _is_finite(self.obj_rcm), "a finite number", self.obj_rcm),
+            ("opt", _is_finite(self.opt) and self.opt > 0, "a finite number > 0", self.opt),
+            ("gap_percent", _is_finite(self.gap_percent), "a finite number", self.gap_percent),
+            ("status", self.status in STATUSES, "a known status", self.status),
+            ("nodes_on", _is_int(self.nodes_on) and self.nodes_on >= 0, "an int >= 0", self.nodes_on),
+            ("nodes_off", off is None or _is_int(off) and off >= 0, "empty or an int >= 0", off),
+            ("wall_time_s", _is_finite(wall) and wall >= 0, "a finite number >= 0", wall),
+        )
 
 
 CSV_HEADER = tuple(f.name for f in fields(GapRow))
@@ -199,29 +194,29 @@ def summarize(report: GapReport) -> dict:
     return {"per_size": per_size, "overall": _aggregate(rows)}
 
 
-def _fmt(value: float | int | str | None) -> str:
+def _fmt(parse, value: float | int | str | None) -> str:
+    """A cell as its column's parser reads it back; floats to 12 significant digits."""
     if value is None:
         return ""
-    if isinstance(value, float):
-        return "%.12g" % value
-    return str(value)
+    return "%.12g" % value if parse is float else str(value)
 
 
 def report_to_csv(report: GapReport) -> str:
     lines = [",".join(CSV_HEADER)]
-    lines.extend(",".join(_fmt(v) for v in astuple(r)) for r in report.rows)
+    lines.extend(",".join(map(_fmt, _PARSERS, astuple(r))) for r in report.rows)
     return "\n".join(lines) + "\n"
 
 
 def report_from_csv(text: str) -> GapReport:
+    """Parse a report; a wrong header or row width raises SchemaError("document")."""
     lines = [line for line in text.split("\n") if line]
     if not lines or lines[0] != ",".join(CSV_HEADER):
-        raise ValueError(f"expected CSV header {','.join(CSV_HEADER)!r}")
+        raise SchemaError("document", f"expected CSV header {','.join(CSV_HEADER)!r}")
     rows = []
     for line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(CSV_HEADER):
-            raise ValueError(f"row has {len(cells)} fields, expected {len(CSV_HEADER)}")
+            raise SchemaError("document", f"row has {len(cells)} fields, expected {len(CSV_HEADER)}")
         values = []
         for column, parse, cell in zip(CSV_HEADER, _PARSERS, cells):
             try:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +31,7 @@ _REPAIR_MIN_DEGREE = 3
 _ATTEMPTS_PER_SITE = 1000
 _DISTANCE_ROWS = 128
 _PREFIX_MIN_N = 50  # below this many sites a full row sort beats partitioning
+_FLOAT_MAX = sys.float_info.max
 
 
 class GenerationError(RuntimeError):
@@ -39,14 +41,50 @@ class GenerationError(RuntimeError):
 class SchemaError(ValueError):
     """A document, or a value built in code, violates its type's invariants.
 
-    Raised by the document readers and by the constructors of ``GenParams``,
-    ``Instance`` and ``SolveResult``.  The offending field is available as
+    Raised by the document readers and, through ``_check``, by the
+    constructors of ``GenParams``, ``Instance``, ``SolveConfig``,
+    ``SolveResult`` and ``GapRow``.  The offending field is available as
     ``field_name``, spelled as the document spells it.
     """
 
     def __init__(self, field_name: str, message: str):
         super().__init__(message)
         self.field_name = field_name
+
+
+def _check(*rules: tuple[str, bool, str, object]) -> None:
+    """The one constructor check: the first rule ``(field, holds, requirement, value)``
+    that does not hold raises SchemaError(field, "<field> <value!r> is not
+    <requirement>").  Each ``holds`` is computed first, so it tests a type
+    before it compares."""
+    for field, holds, requirement, value in rules:
+        if not holds:
+            raise SchemaError(field, f"{field} {value!r} is not {requirement}")
+
+
+def _is_int(value: object) -> bool:
+    """An int, never a bool or a numpy integer, which JSON cannot write."""
+    return type(value) is int
+
+
+def _is_number(value: object) -> bool:
+    """A float or an int, never a bool: what a numeric field accepts."""
+    return isinstance(value, float) or _is_int(value)
+
+
+def _is_finite(value: object) -> bool:
+    """A number within the float range, so also an int that float() can hold."""
+    return _is_number(value) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+def _is_pair(value: object, ok) -> bool:
+    """A 2-tuple whose items pass ``ok``: a site or a bond."""
+    return isinstance(value, tuple) and len(value) == 2 and ok(value[0]) and ok(value[1])
+
+
+def _is_seed(value: object) -> bool:
+    """A 64-bit unsigned integer: what numpy's ``default_rng`` is seeded with."""
+    return _is_int(value) and 0 <= value < 2**64
 
 
 class CoincidentSitesError(ValueError):
@@ -57,11 +95,6 @@ class CoincidentSitesError(ValueError):
         self.pair = (i, j)
 
 
-def _is_number(value: object) -> bool:
-    """An int or a float, never a bool: what a numeric field accepts."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class GenParams:
     """Generation parameters: square box side and minimum site separation."""
@@ -70,8 +103,8 @@ class GenParams:
     r_min: float = DEFAULT_R_MIN
 
     def __post_init__(self):
-        if not all(_is_number(x) and 0 < x < math.inf for x in (self.L, self.r_min)):
-            raise SchemaError("params", "params.L and params.r_min must be finite numbers > 0")
+        pair = (self.L, self.r_min)
+        _check(("params", all(_is_finite(x) and x > 0 for x in pair), "a pair of finite numbers > 0", pair))
 
     @staticmethod
     def defaults(n: int) -> "GenParams":
@@ -81,8 +114,7 @@ class GenParams:
 
 def _check_seed(seed: int) -> None:
     """The seed range: a 64-bit unsigned integer, else SchemaError("seed")."""
-    if not 0 <= seed < 2**64:
-        raise SchemaError("seed", f"seed {seed} is not a 64-bit unsigned integer")
+    _check(("seed", _is_seed(seed), "a 64-bit unsigned integer", seed))
 
 
 @dataclass(frozen=True)
@@ -90,10 +122,11 @@ class Instance:
     """An immutable 2-D point set with its bonded-neighbor structure.
 
     ``sites`` are dimensionless coordinates, ``bonds`` are unordered vertex
-    pairs stored as (i, j) with i < j.  Construction checks a 64-bit
-    unsigned seed, at least two sites, finite coordinates, distinct sites
-    (else CoincidentSitesError with the lexicographically first pair) and
-    bonds with ``0 <= i < j < n``.
+    pairs stored as (i, j) with i < j.  Construction checks a str id, an int
+    seed in [0, 2**64), a tuple of two or more distinct sites (else
+    CoincidentSitesError with the lexicographically first pair), each a pair
+    of finite ints or floats, and a frozenset of int pairs ``0 <= i < j < n``.
+    So every instance that constructs round-trips through its JSON document.
     """
 
     id: str
@@ -103,20 +136,21 @@ class Instance:
     bonds: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        _check_seed(self.seed)
-        if len(self.sites) < 2:
-            raise SchemaError("sites", "an instance needs at least two sites")
-        for idx, (x, y) in enumerate(self.sites):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise SchemaError("sites", f"sites[{idx}] has a non-finite coordinate")
-        first: dict[tuple[float, float], int] = {}
-        repeats = [(first[s], j) for j, s in enumerate(self.sites) if first.setdefault(s, j) < j]
-        if repeats:
+        sites, bonds, n = self.sites, self.bonds, len(self.sites)
+        site = next((s for s in sites if not _is_pair(s, _is_finite)), None)
+        bond = next((b for b in bonds if not (_is_pair(b, _is_int) and 0 <= b[0] < b[1] < n)), None)
+        _check(
+            ("id", isinstance(self.id, str), "a str", self.id),
+            ("seed", _is_seed(self.seed), "a 64-bit unsigned integer", self.seed),
+            ("sites", type(sites) is tuple and n >= 2, "a tuple of at least two sites", sites),
+            ("sites", site is None, "a pair of finite numbers", site),
+            ("bonds", isinstance(bonds, frozenset), "a frozenset", type(bonds)),
+            ("bonds", bond is None, f"a pair of ints 0 <= i < j < {n}", bond),
+        )
+        if len(set(sites)) < n:
+            first: dict[tuple[float, float], int] = {}
+            repeats = [(first[s], j) for j, s in enumerate(sites) if first.setdefault(s, j) < j]
             raise CoincidentSitesError(*min(repeats))  # lexicographically first (i, j)
-        n = len(self.sites)
-        for i, j in self.bonds:
-            if not 0 <= i < j < n:
-                raise SchemaError("bonds", f"bond ({i}, {j}) must satisfy 0 <= i < j < {n}")
 
     @property
     def n(self) -> int:
@@ -126,7 +160,7 @@ class Instance:
         return 2.0 * len(self.bonds) / self.n
 
     def min_pairwise_distance(self) -> float:
-        pts = np.asarray(self.sites)
+        pts = np.asarray(self.sites, dtype=float)
         d2 = _pairwise_squared_distances(pts)
         return float(np.sqrt(d2[np.triu_indices(len(pts), k=1)].min()))
 
@@ -369,7 +403,7 @@ def generate(n: int, seed: int, params: GenParams | None = None) -> Instance:
 
 def interaction_matrix(inst: Instance) -> InteractionMatrix:
     """Dense interaction matrix over all site pairs: u[i][j] = 1/d_ij^6."""
-    d2 = _pairwise_squared_distances(np.asarray(inst.sites))
+    d2 = _pairwise_squared_distances(np.asarray(inst.sites, dtype=float))
     np.fill_diagonal(d2, np.inf)  # so the diagonal weight is 1/inf = 0
     with np.errstate(divide="ignore", over="ignore"):
         # in place, so the one n x n array becomes u; a d2 that under- or
@@ -423,20 +457,29 @@ def _parse_doc(text: str, schema: str) -> dict:
 
 
 def _require(doc: dict, key: str, kind: type, where: str) -> object:
-    """``doc[key]`` as ``kind``, never a bool; ``where`` names the enclosing document."""
+    """``doc[key]`` as ``kind``, never a bool; ``where`` names the enclosing document.
+    A float field keeps an int as an int, so it writes back unchanged."""
     if key not in doc:
         raise SchemaError(key, f'missing required field "{key}" in {where}')
     value = doc[key]
     if kind is float:
         if not _is_number(value):
             raise SchemaError(key, f'field "{key}" must be a number')
-        try:
-            return float(value)
-        except OverflowError:  # a JSON integer beyond the float range
-            raise SchemaError(key, f'field "{key}" is too large for a float') from None
+        if not (isinstance(value, float) or _is_finite(value)):
+            raise SchemaError(key, f'field "{key}" is too large for a float')
+        return value
     if not isinstance(value, kind) or isinstance(value, bool):
         raise SchemaError(key, f'field "{key}" must be of type {kind.__name__}')
     return value
+
+
+def _pairs(doc: dict, key: str, ok, what: str) -> tuple[tuple, ...]:
+    """``doc[key]`` as a tuple of 2-tuples: a list of two-item lists whose
+    items pass ``ok``, else SchemaError(key) showing the first bad entry."""
+    entries = _require(doc, key, list, SCHEMA_INSTANCE)
+    bad = [e for e in entries if not (type(e) is list and len(e) == 2 and ok(e[0]) and ok(e[1]))]
+    _check((key, not bad, what, bad and bad[0]))
+    return tuple(map(tuple, entries))
 
 
 def from_json(text: str) -> Instance:
@@ -444,46 +487,22 @@ def from_json(text: str) -> Instance:
 
     Raises SchemaError naming the violated field, or CoincidentSitesError
     when two parsed coordinates coincide.  Here only the JSON shape is
-    checked; ``GenParams`` and ``Instance`` check the values.
+    checked, and that no bond repeats; ``GenParams`` and ``Instance`` check
+    the values.
     """
     doc = _parse_doc(text, SCHEMA_INSTANCE)
     inst_id = _require(doc, "id", str, SCHEMA_INSTANCE)
     seed = _require(doc, "seed", int, SCHEMA_INSTANCE)
     raw_params = _require(doc, "params", dict, SCHEMA_INSTANCE)
-    params = GenParams(
-        L=_require(raw_params, "L", float, "params"),
-        r_min=_require(raw_params, "r_min", float, "params"),
-    )
-
-    sites: list[tuple[float, float]] = []
-    for idx, entry in enumerate(_require(doc, "sites", list, SCHEMA_INSTANCE)):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(_is_number(c) for c in entry)
-        ):
-            raise SchemaError("sites", f"sites[{idx}] must be a pair of numbers")
-        try:
-            sites.append((float(entry[0]), float(entry[1])))
-        except OverflowError:  # a JSON integer beyond the float range
-            raise SchemaError("sites", f"sites[{idx}] has a coordinate too large for a float") from None
-
-    bonds: set[tuple[int, int]] = set()
-    for idx, entry in enumerate(_require(doc, "bonds", list, SCHEMA_INSTANCE)):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in entry)
-        ):
-            raise SchemaError("bonds", f"bonds[{idx}] must be a pair of integers")
-        bond = (entry[0], entry[1])
-        if bond in bonds:  # a frozenset would drop the repeat silently
-            raise SchemaError("bonds", f"bonds[{idx}] duplicates pair {bond}")
-        bonds.add(bond)
-
-    return Instance(
-        id=inst_id, seed=seed, params=params, sites=tuple(sites), bonds=frozenset(bonds)
-    )
+    params = GenParams(*(_require(raw_params, key, float, "params") for key in ("L", "r_min")))
+    sites = _pairs(doc, "sites", _is_number, "a pair of numbers")
+    bonds = _pairs(doc, "bonds", _is_int, "a pair of ints")
+    unique = frozenset(bonds)
+    if len(unique) < len(bonds):  # a frozenset would drop the repeat silently
+        seen: set[tuple] = set()
+        repeat = next(b for b in bonds if b in seen or seen.add(b))
+        raise SchemaError("bonds", f"bonds repeat the pair {repeat}")
+    return Instance(id=inst_id, seed=seed, params=params, sites=sites, bonds=unique)
 
 
 def load(path: str | Path) -> Instance:

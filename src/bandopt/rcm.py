@@ -25,26 +25,20 @@ def _adjacency(bonds: Iterable[tuple[int, int]], n: int) -> list[set[int]]:
     return adj
 
 
-def cuthill_mckee(
-    bonds: Iterable[tuple[int, int]], n: int, start: int | None = None
-) -> Ordering:
+def cuthill_mckee(bonds: Iterable[tuple[int, int]], n: int) -> Ordering:
     """Breadth-first level ordering; within each level by (degree, index).
 
-    Disconnected components are processed by repeatedly rooting at the
-    unvisited vertex of minimum (degree, index).  An explicit ``start``
-    roots the first traversal only.
+    Each traversal, one per connected component, is rooted at the unvisited
+    vertex of minimum (degree, index).
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    if start is not None and not 0 <= start < n:
-        raise ValueError(f"start vertex {start} outside 0..{n - 1}")
     adj = _adjacency(bonds, n)
     degree = [len(a) for a in adj]
 
     visited = [False] * n
     order: list[int] = []
-    roots = sorted(range(n), key=lambda v: (degree[v], v))
-    for root in ([] if start is None else [start]) + roots:
+    for root in sorted(range(n), key=lambda v: (degree[v], v)):
         if visited[root]:
             continue
         visited[root] = True
@@ -62,13 +56,11 @@ def cuthill_mckee(
     return Ordering(tuple(perm))
 
 
-def reverse_cuthill_mckee(
-    bonds: Iterable[tuple[int, int]], n: int, start: int | None = None
-) -> Ordering:
+def reverse_cuthill_mckee(bonds: Iterable[tuple[int, int]], n: int) -> Ordering:
     """Cuthill-McKee with final positions reversed: p(v) -> n+1-p(v)."""
-    return cuthill_mckee(bonds, n, start).reversed()
+    return cuthill_mckee(bonds, n).reversed()
 
 
 def rcm_on_instance(inst: Instance) -> Ordering:
-    """RCM over the instance's bond set with the default start rule."""
+    """RCM over the instance's bond set."""
     return reverse_cuthill_mckee(inst.bonds, inst.n)

@@ -194,6 +194,15 @@ def test_solve_checks_out_dir_before_searching(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_bench_checks_summary_path_before_running(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_suite", _never)
+    (tmp_path / "r.summary.json").mkdir()
+    out = tmp_path / "r.csv"
+    assert main(["bench", "--sizes", "5", "--per-size", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("bandopt: --out ")
+    assert not out.exists()
+
+
 def test_bench_checks_out_dir_before_running(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_suite", _never)
     for out in (tmp_path / "nodir" / "r.csv", tmp_path):  # a missing parent; a directory

@@ -320,8 +320,9 @@ class TestBranchAndBound:
         ],
     )
     def test_config_rejected_at_construction(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaError) as err:
             SolveConfig(**kwargs)
+        assert err.value.field_name == next(iter(kwargs))
 
     def test_default_anchor_is_max_row_sum(self):
         U = interaction_matrix(generate(9, 6))
@@ -949,13 +950,18 @@ class TestResultSerialization:
             (dict(lower_bound=True), "lower_bound"),
             (dict(objective="1.5"), "objective"),
             (dict(wall_time=True), "wall_time_s"),
+            # values that result_to_json cannot write or result_from_json would not read back
+            (dict(objective=10**400, lower_bound=10**400), "objective"),
+            (dict(wall_time=10**400), "wall_time_s"),
+            (dict(ordering=(2, 1, 3)), "ordering"),
         ],
         ids=[
             "infinite-objective", "negative-objective", "bound-above-objective",
             "nan-bound", "optimal-with-open-gap", "unknown-status", "negative-nodes",
             "fractional-nodes",
             "bool-nodes", "nan-wall-time", "bool-objective", "bool-bound",
-            "str-objective", "bool-wall-time",
+            "str-objective", "bool-wall-time", "objective-past-float-range",
+            "wall-time-past-float-range", "tuple-ordering",
         ],
     )
     def test_constructor_rejects(self, edit, field):

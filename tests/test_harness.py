@@ -2,6 +2,7 @@
 
 import threading
 
+import numpy as np
 import pytest
 
 from bandopt import harness
@@ -208,13 +209,18 @@ class TestCsv:
         assert text.splitlines()[1].split(",")[3] == "1.23456789012"
 
     def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
-            report_from_csv("id,n\n")
+        crlf = report_to_csv(GapReport(rows=(_row(),))).replace("\n", "\r\n")
+        for text in ("id,n\n", crlf):  # a CRLF file's header ends in CR
+            with pytest.raises(SchemaError) as err:
+                report_from_csv(text)
+            assert err.value.field_name == "document"
 
     def test_bad_row_width_rejected(self):
-        text = ",".join(CSV_HEADER) + "\ninst,5\n"
-        with pytest.raises(ValueError):
-            report_from_csv(text)
+        row = report_to_csv(GapReport(rows=(_row(),))).splitlines()[1]
+        for line in ("inst,5", row + ",0"):  # a short row and a long one
+            with pytest.raises(SchemaError) as err:
+                report_from_csv(",".join(CSV_HEADER) + "\n" + line + "\n")
+            assert err.value.field_name == "document"
 
     @pytest.mark.parametrize(
         "column, cell",
@@ -244,6 +250,29 @@ class TestCsv:
         with pytest.raises(SchemaError) as err:
             report_from_csv(",".join(CSV_HEADER) + "\n" + ",".join(cells) + "\n")
         assert err.value.field_name == column
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("opt", 10**400),  # float() cannot hold it, so it is not finite
+            ("obj_rcm", -(10**400)),
+            ("wall_time_s", 10**400),
+            ("n", np.int64(5)),
+            ("seed", True),
+            ("id", 5),
+        ],
+        ids=["opt-past-float-range", "obj-rcm-past-float-range", "wall-time-past-float-range",
+             "numpy-n", "bool-seed", "int-id"],
+    )
+    def test_constructor_rejects(self, column, value):
+        with pytest.raises(SchemaError) as err:
+            _row(**{column: value})
+        assert err.value.field_name == column
+
+    def test_int_in_float_column_round_trips(self):
+        # written as str(), 10**20 read back as 1e20, which writes "1e+20"
+        text = report_to_csv(GapReport(rows=(_row(obj_rcm=10**20, gap_percent=5 * 10**21),)))
+        assert report_to_csv(report_from_csv(text)) == text
 
     @pytest.mark.parametrize("bad_id", ["a,b", "a\rb", "a\nb"])
     def test_id_that_would_split_the_row_rejected(self, bad_id):

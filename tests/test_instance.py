@@ -478,10 +478,24 @@ class TestInstance:
             (dict(bonds=frozenset({(0, 5)})), "bonds"),
             (dict(seed=-5), "seed"),
             (dict(seed=2**64), "seed"),
+            # values that to_json cannot write or from_json would not read back
+            (dict(id=5), "id"),
+            (dict(seed=3.0), "seed"),
+            (dict(seed=True), "seed"),
+            (dict(bonds=frozenset({(np.int64(0), np.int64(1))})), "bonds"),
+            (dict(bonds=frozenset({(0, 1.0)})), "bonds"),
+            (dict(bonds=((0, 1),)), "bonds"),
+            (dict(sites=[(0.0, 0.0), (1.0, 0.0)]), "sites"),
+            (dict(sites=((0.0, 0.0), (1.0, True))), "sites"),
+            (dict(sites=((0.0, 0.0), (1.0, 0.0, 2.0))), "sites"),
+            # float() cannot hold it, so it is not finite
+            (dict(sites=((0.0, 0.0), (10**400, 0.0))), "sites"),
         ],
         ids=[
             "nan-site", "no-sites", "one-site", "reversed-bond", "bond-out-of-range",
-            "negative-seed", "seed-too-large",
+            "negative-seed", "seed-too-large", "int-id", "float-seed", "bool-seed",
+            "numpy-bond", "float-bond-end", "tuple-bonds", "list-sites", "bool-coordinate",
+            "three-coordinates", "int-coordinate-past-float-range",
         ],
     )
     def test_constructor_rejects(self, fields, field):
@@ -591,6 +605,18 @@ class TestSerialization:
         with pytest.raises(SchemaError) as err:
             from_json(json.dumps(doc))
         assert err.value.field_name == "bonds"
+
+    def test_numbers_kept_as_spelled(self):
+        # an int coordinate or box side stays an int, so it writes back unchanged
+        # (2**53 + 1 would not survive float()) and weighs as its float does
+        doc = json.loads(to_json(_toy([(0.0, 0.0), (1.0, 0.0), (3.0, 0.0)])))
+        doc["params"]["L"], doc["sites"] = 2**53 + 1, [[0, 0], [1, 0], [3, 0]]
+        text = json.dumps(doc, separators=(",", ":")) + "\n"
+        inst = from_json(text)
+        assert to_json(inst) == text
+        assert inst.params.L == 2**53 + 1 and inst.sites[2] == (3, 0)
+        u = interaction_matrix(inst).u
+        assert np.array_equal(u, interaction_matrix(_toy([(0, 0), (1, 0), (3, 0)])).u)
 
     def test_default_params(self):
         params = GenParams.defaults(9)

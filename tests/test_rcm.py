@@ -11,33 +11,27 @@ STAR = frozenset({(0, 1), (0, 2), (0, 3), (0, 4)})
 
 
 class TestCuthillMckee:
-    def test_path_from_endpoint(self):
-        assert cuthill_mckee(PATH, 3, start=0).perm == (1, 2, 3)
-
     def test_path_default_root_is_min_degree(self):
         # endpoints have degree 1; vertex 0 wins the index tie
         assert cuthill_mckee(PATH, 3).perm == (1, 2, 3)
 
     def test_star_from_leaf(self):
-        at = cuthill_mckee(STAR, 5, start=2).vertex_at()
-        assert at[0] == 2
+        # the leaves have degree 1, so leaf 1 roots the traversal
+        at = cuthill_mckee(STAR, 5).vertex_at()
+        assert at[0] == 1
         assert at[1] == 0
-        assert at[2:] == (1, 3, 4)  # remaining leaves by index
+        assert at[2:] == (2, 3, 4)  # remaining leaves by index
 
     def test_level_sort_by_degree_then_index(self):
-        # 0-1, 0-2, 2-3: from 0 the frontier {1, 2} sorts degree-first
-        bonds = frozenset({(0, 1), (0, 2), (2, 3)})
-        at = cuthill_mckee(bonds, 4, start=0).vertex_at()
-        assert at == (0, 1, 2, 3)
+        # 0-1, 1-2, 1-3, 2-4, 2-5: from leaf 0 via 1, the frontier {2, 3}
+        # sorts degree-first, so 3 (degree 1) precedes 2 (degree 3)
+        bonds = frozenset({(0, 1), (1, 2), (1, 3), (2, 4), (2, 5)})
+        at = cuthill_mckee(bonds, 6).vertex_at()
+        assert at == (0, 1, 3, 2, 4, 5)
 
     def test_disconnected_components(self):
         bonds = frozenset({(0, 1), (2, 3), (3, 4)})
         assert cuthill_mckee(bonds, 5).perm == (1, 2, 3, 4, 5)
-
-    def test_start_in_later_component(self):
-        # start roots the first traversal; the rest keeps the (degree, index) rule
-        bonds = frozenset({(0, 1), (2, 3), (3, 4)})
-        assert cuthill_mckee(bonds, 5, start=4).perm == (4, 5, 3, 2, 1)
 
     def test_no_bonds(self):
         assert cuthill_mckee(frozenset(), 3).perm == (1, 2, 3)
@@ -50,14 +44,10 @@ class TestCuthillMckee:
         with pytest.raises(ValueError):
             cuthill_mckee(frozenset({(1, 1)}), 3)
 
-    def test_invalid_start(self):
-        with pytest.raises(ValueError):
-            cuthill_mckee(PATH, 3, start=9)
-
 
 class TestReverseCuthillMckee:
     def test_path_reversed(self):
-        assert reverse_cuthill_mckee(PATH, 3, start=0).perm == (3, 2, 1)
+        assert reverse_cuthill_mckee(PATH, 3).perm == (3, 2, 1)
 
     def test_is_reversal_of_cm(self):
         bonds = generate(15, 8).bonds
