@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .exact import SolveConfig, branch_and_bound, export_lp, save_result
 from .harness import run_suite, save_report, save_summary, summarize
-from .instance import GenParams, _check_seed, generate, interaction_matrix, load, save
+from .instance import GenParams, _check, _seed_rule, generate, interaction_matrix, load, save
 from .metrics import classic_bandwidth, weighted_bandwidth, save_ordering
 from .rcm import rcm_on_instance
 
@@ -44,7 +44,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     params = _gen_params(args.n, args.r_min, args.box_side)
     # generate checks each seed, but a bad last one should fail before the
     # whole batch is built; nothing is written until every instance exists
-    _check_seed(args.seed + args.count - 1)
+    _check(_seed_rule(args.seed + args.count - 1))
     insts = [generate(args.n, args.seed + k, params) for k in range(args.count)]
     if args.count == 1:
         save(insts[0], args.out)

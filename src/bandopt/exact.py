@@ -574,16 +574,16 @@ def result_to_json(result: SolveResult) -> str:
 def result_from_json(text: str) -> SolveResult:
     """Parse a result document; SchemaError names the violated field.
 
-    Each field is read for its JSON type here; ``SolveResult`` checks the
-    values, so only what a solve can return is accepted.
+    Only presence is checked here; ``Ordering`` and ``SolveResult`` check
+    the values, so only what a solve can return is accepted.
     """
     doc = _parse_doc(text, SCHEMA_RESULT)
     return SolveResult(
-        objective=_require(doc, "objective", float, SCHEMA_RESULT),
-        lower_bound=_require(doc, "lower_bound", float, SCHEMA_RESULT),
-        status=_require(doc, "status", str, SCHEMA_RESULT),
-        nodes_explored=_require(doc, "nodes", int, SCHEMA_RESULT),
-        wall_time=_require(doc, "wall_time_s", float, SCHEMA_RESULT),
+        objective=_require(doc, "objective", SCHEMA_RESULT),
+        lower_bound=_require(doc, "lower_bound", SCHEMA_RESULT),
+        status=_require(doc, "status", SCHEMA_RESULT),
+        nodes_explored=_require(doc, "nodes", SCHEMA_RESULT),
+        wall_time=_require(doc, "wall_time_s", SCHEMA_RESULT),
         ordering=_ordering_field(doc, "ordering", SCHEMA_RESULT),
     )
 

@@ -20,8 +20,8 @@ from .instance import (
     _check,
     _is_finite,
     _is_int,
-    _is_seed,
     _read_doc,
+    _seed_rule,
     generate,
     interaction_matrix,
 )
@@ -63,7 +63,7 @@ class GapRow:
         _check(
             ("id", isinstance(id_, str) and set(",\r\n").isdisjoint(id_), "a str free of , CR LF", id_),
             ("n", _is_int(self.n) and self.n >= 2, "an int >= 2", self.n),
-            ("seed", _is_seed(self.seed), "a 64-bit unsigned integer", self.seed),
+            _seed_rule(self.seed),
             ("obj_rcm", _is_finite(self.obj_rcm), "a finite number", self.obj_rcm),
             ("opt", _is_finite(self.opt) and self.opt > 0, "a finite number > 0", self.opt),
             ("gap_percent", _is_finite(self.gap_percent), "a finite number", self.gap_percent),

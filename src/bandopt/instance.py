@@ -32,6 +32,7 @@ _ATTEMPTS_PER_SITE = 1000
 _DISTANCE_ROWS = 128
 _PREFIX_MIN_N = 50  # below this many sites a full row sort beats partitioning
 _FLOAT_MAX = sys.float_info.max
+_INT_BOUND = 10**4300  # str(), so JSON, writes no int of more digits: Python's default limit
 
 
 class GenerationError(RuntimeError):
@@ -42,7 +43,7 @@ class SchemaError(ValueError):
     """A document, or a value built in code, violates its type's invariants.
 
     Raised by the document readers and, through ``_check``, by the
-    constructors of ``GenParams``, ``Instance``, ``SolveConfig``,
+    constructors of ``GenParams``, ``Instance``, ``Ordering``, ``SolveConfig``,
     ``SolveResult`` and ``GapRow``.  The offending field is available as
     ``field_name``, spelled as the document spells it.
     """
@@ -55,16 +56,20 @@ class SchemaError(ValueError):
 def _check(*rules: tuple[str, bool, str, object]) -> None:
     """The one constructor check: the first rule ``(field, holds, requirement, value)``
     that does not hold raises SchemaError(field, "<field> <value!r> is not
-    <requirement>").  Each ``holds`` is computed first, so it tests a type
-    before it compares."""
+    <requirement>").  Every ``holds`` is computed before any rule raises, so
+    each tests the types it compares itself, never relying on an earlier rule."""
     for field, holds, requirement, value in rules:
         if not holds:
-            raise SchemaError(field, f"{field} {value!r} is not {requirement}")
+            try:
+                shown = repr(value)
+            except ValueError:  # an int past str()'s digit limit, alone or in a tuple
+                shown = f"<{type(value).__name__} too long to print>"
+            raise SchemaError(field, f"{field} {shown} is not {requirement}")
 
 
 def _is_int(value: object) -> bool:
-    """An int, never a bool or a numpy integer, which JSON cannot write."""
-    return type(value) is int
+    """An int that str() can write, never a bool or a numpy integer, which JSON cannot write."""
+    return type(value) is int and -_INT_BOUND < value < _INT_BOUND
 
 
 def _is_number(value: object) -> bool:
@@ -82,9 +87,9 @@ def _is_pair(value: object, ok) -> bool:
     return isinstance(value, tuple) and len(value) == 2 and ok(value[0]) and ok(value[1])
 
 
-def _is_seed(value: object) -> bool:
-    """A 64-bit unsigned integer: what numpy's ``default_rng`` is seeded with."""
-    return _is_int(value) and 0 <= value < 2**64
+def _seed_rule(seed: object) -> tuple[str, bool, str, object]:
+    """The seed rule for ``_check``: what numpy's ``default_rng`` is seeded with."""
+    return ("seed", _is_int(seed) and 0 <= seed < 2**64, "a 64-bit unsigned integer", seed)
 
 
 class CoincidentSitesError(ValueError):
@@ -112,11 +117,6 @@ class GenParams:
         return GenParams(L=math.sqrt(n), r_min=DEFAULT_R_MIN)
 
 
-def _check_seed(seed: int) -> None:
-    """The seed range: a 64-bit unsigned integer, else SchemaError("seed")."""
-    _check(("seed", _is_seed(seed), "a 64-bit unsigned integer", seed))
-
-
 @dataclass(frozen=True)
 class Instance:
     """An immutable 2-D point set with its bonded-neighbor structure.
@@ -136,16 +136,19 @@ class Instance:
     bonds: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        sites, bonds, n = self.sites, self.bonds, len(self.sites)
-        site = next((s for s in sites if not _is_pair(s, _is_finite)), None)
-        bond = next((b for b in bonds if not (_is_pair(b, _is_int) and 0 <= b[0] < b[1] < n)), None)
+        # a container of another type reads as empty, which its own rule refuses
+        sites = self.sites if type(self.sites) is tuple else ()
+        bonds = self.bonds if isinstance(self.bonds, frozenset) else frozenset()
+        n = len(sites)
+        bad_sites = [s for s in sites if not _is_pair(s, _is_finite)]
+        bad_bonds = [b for b in bonds if not (_is_pair(b, _is_int) and 0 <= b[0] < b[1] < n)]
         _check(
             ("id", isinstance(self.id, str), "a str", self.id),
-            ("seed", _is_seed(self.seed), "a 64-bit unsigned integer", self.seed),
-            ("sites", type(sites) is tuple and n >= 2, "a tuple of at least two sites", sites),
-            ("sites", site is None, "a pair of finite numbers", site),
-            ("bonds", isinstance(bonds, frozenset), "a frozenset", type(bonds)),
-            ("bonds", bond is None, f"a pair of ints 0 <= i < j < {n}", bond),
+            _seed_rule(self.seed),
+            ("sites", n >= 2, "a tuple of at least two sites", self.sites),
+            ("sites", not bad_sites, "a pair of finite numbers", bad_sites and bad_sites[0]),
+            ("bonds", isinstance(self.bonds, frozenset), "a frozenset", type(self.bonds)),
+            ("bonds", not bad_bonds, f"a pair of ints 0 <= i < j < {n}", bad_bonds and bad_bonds[0]),
         )
         if len(set(sites)) < n:
             first: dict[tuple[float, float], int] = {}
@@ -361,7 +364,7 @@ def generate(n: int, seed: int, params: GenParams | None = None) -> Instance:
     """
     if n < 2:
         raise ValueError(f"need at least 2 sites, got n={n}")
-    _check_seed(seed)  # before default_rng, which has its own message for a negative seed
+    _check(_seed_rule(seed))  # before default_rng, which has its own message for a negative seed
     if params is None:
         params = GenParams.defaults(n)
     try:
@@ -450,54 +453,46 @@ def _parse_doc(text: str, schema: str) -> dict:
         raise SchemaError("document", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("document", "top-level value must be an object")
-    tag = _require(doc, "schema", str, schema)
+    tag = _require(doc, "schema", schema)
     if tag != schema:
         raise SchemaError("schema", f'unsupported schema "{tag}", expected "{schema}"')
     return doc
 
 
-def _require(doc: dict, key: str, kind: type, where: str) -> object:
-    """``doc[key]`` as ``kind``, never a bool; ``where`` names the enclosing document.
-    A float field keeps an int as an int, so it writes back unchanged."""
+def _require(doc: dict, key: str, where: str, kind: type = object) -> object:
+    """``doc[key]``, present and a ``kind``; ``where`` names the enclosing document."""
     if key not in doc:
         raise SchemaError(key, f'missing required field "{key}" in {where}')
-    value = doc[key]
-    if kind is float:
-        if not _is_number(value):
-            raise SchemaError(key, f'field "{key}" must be a number')
-        if not (isinstance(value, float) or _is_finite(value)):
-            raise SchemaError(key, f'field "{key}" is too large for a float')
-        return value
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not isinstance(doc[key], kind):
         raise SchemaError(key, f'field "{key}" must be of type {kind.__name__}')
-    return value
+    return doc[key]
 
 
-def _pairs(doc: dict, key: str, ok, what: str) -> tuple[tuple, ...]:
-    """``doc[key]`` as a tuple of 2-tuples: a list of two-item lists whose
-    items pass ``ok``, else SchemaError(key) showing the first bad entry."""
-    entries = _require(doc, key, list, SCHEMA_INSTANCE)
-    bad = [e for e in entries if not (type(e) is list and len(e) == 2 and ok(e[0]) and ok(e[1]))]
-    _check((key, not bad, what, bad and bad[0]))
-    return tuple(map(tuple, entries))
+def _tuples(value: object) -> object:
+    """A JSON array of arrays as tuples; any other value as itself, for the constructor to refuse."""
+    if not isinstance(value, list):
+        return value
+    return tuple(tuple(v) if isinstance(v, list) else v for v in value)
 
 
 def from_json(text: str) -> Instance:
     """Parse an instance document.
 
     Raises SchemaError naming the violated field, or CoincidentSitesError
-    when two parsed coordinates coincide.  Here only the JSON shape is
-    checked, and that no bond repeats; ``GenParams`` and ``Instance`` check
-    the values.
+    when two parsed coordinates coincide.  Here only presence is checked, and
+    that ``params`` is an object and ``bonds`` an array of distinct entries;
+    arrays become tuples, and ``GenParams`` and ``Instance`` check the values.
     """
     doc = _parse_doc(text, SCHEMA_INSTANCE)
-    inst_id = _require(doc, "id", str, SCHEMA_INSTANCE)
-    seed = _require(doc, "seed", int, SCHEMA_INSTANCE)
-    raw_params = _require(doc, "params", dict, SCHEMA_INSTANCE)
-    params = GenParams(*(_require(raw_params, key, float, "params") for key in ("L", "r_min")))
-    sites = _pairs(doc, "sites", _is_number, "a pair of numbers")
-    bonds = _pairs(doc, "bonds", _is_int, "a pair of ints")
-    unique = frozenset(bonds)
+    inst_id, seed = _require(doc, "id", SCHEMA_INSTANCE), _require(doc, "seed", SCHEMA_INSTANCE)
+    raw_params = _require(doc, "params", SCHEMA_INSTANCE, dict)
+    params = GenParams(*(_require(raw_params, key, "params") for key in ("L", "r_min")))
+    sites = _tuples(_require(doc, "sites", SCHEMA_INSTANCE))
+    bonds = _tuples(_require(doc, "bonds", SCHEMA_INSTANCE, list))
+    try:
+        unique = frozenset(bonds)
+    except TypeError:  # an entry is, or holds, an array or an object
+        raise SchemaError("bonds", "a bond is, or holds, an object or a nested array") from None
     if len(unique) < len(bonds):  # a frozenset would drop the repeat silently
         seen: set[tuple] = set()
         repeat = next(b for b in bonds if b in seen or seen.add(b))

@@ -12,25 +12,28 @@ from typing import Iterable
 
 import numpy as np
 
-from .instance import InteractionMatrix, SchemaError, _dump_doc, _parse_doc, _read_doc, _require
+from .instance import (
+    InteractionMatrix, SchemaError, _check, _dump_doc, _is_int, _parse_doc, _read_doc, _require
+)
 
 SCHEMA_ORDERING = "bandopt-ordering/1"
 
 
 @dataclass(frozen=True)
 class Ordering:
-    """A bijection from vertices onto positions 1..n; perm[v] = position of v."""
+    """A bijection from vertices onto positions 1..n; perm[v] = position of v.
+    Construction checks a tuple of ints forming it, else SchemaError("perm")."""
 
     perm: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.perm)
-        if n == 0:
-            raise ValueError("ordering must cover at least one vertex")
-        if any(type(p) is not int for p in self.perm) or sorted(self.perm) != list(
-            range(1, n + 1)
-        ):
-            raise ValueError(f"perm must be a bijection onto 1..{n}, got {self.perm}")
+        perm = self.perm
+        n = len(perm) if type(perm) is tuple else 0
+        bijection = n > 0 and all(map(_is_int, perm)) and sorted(perm) == list(range(1, n + 1))
+        _check(
+            ("perm", n > 0, "a tuple of at least one position", perm),
+            ("perm", bijection, f"a bijection onto 1..{n}", perm),
+        )
 
     @property
     def n(self) -> int:
@@ -120,12 +123,13 @@ def ordering_to_json(ordering: Ordering) -> str:
 
 
 def _ordering_field(doc: dict, key: str, where: str) -> Ordering:
-    """The positions check: ``doc[key]`` as an Ordering, else SchemaError(key)."""
-    perm = _require(doc, key, list, where)
+    """``doc[key]``, an array read as a tuple, as an Ordering; SchemaError("perm") is renamed ``key``."""
+    perm = _require(doc, key, where)
     try:
-        return Ordering(tuple(perm))
-    except ValueError as exc:  # not ints, or not a bijection onto 1..n
-        raise SchemaError(key, f'field "{key}": {exc}') from None
+        return Ordering(tuple(perm) if isinstance(perm, list) else perm)
+    except SchemaError as exc:  # Ordering's one check names the field "perm"
+        exc.field_name = key
+        raise
 
 
 def ordering_from_json(text: str) -> Ordering:

@@ -60,7 +60,7 @@ def test_rcm_rejects_oversized_param(tmp_path, capsys):
     doc["params"]["L"] = 10**400  # a JSON integer too large for a float
     path.write_text(json.dumps(doc))
     assert main(["rcm", "--instance", str(path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith('bandopt: field "L"')
+    assert capsys.readouterr().err.startswith("bandopt: params ")
     assert not out.exists()
 
 

@@ -954,6 +954,7 @@ class TestResultSerialization:
             (dict(objective=10**400, lower_bound=10**400), "objective"),
             (dict(wall_time=10**400), "wall_time_s"),
             (dict(ordering=(2, 1, 3)), "ordering"),
+            (dict(nodes_explored=10**5000), "nodes"),  # str() cannot write it
         ],
         ids=[
             "infinite-objective", "negative-objective", "bound-above-objective",
@@ -961,7 +962,7 @@ class TestResultSerialization:
             "fractional-nodes",
             "bool-nodes", "nan-wall-time", "bool-objective", "bool-bound",
             "str-objective", "bool-wall-time", "objective-past-float-range",
-            "wall-time-past-float-range", "tuple-ordering",
+            "wall-time-past-float-range", "tuple-ordering", "nodes-past-digit-limit",
         ],
     )
     def test_constructor_rejects(self, edit, field):

@@ -260,9 +260,10 @@ class TestCsv:
             ("n", np.int64(5)),
             ("seed", True),
             ("id", 5),
+            ("nodes_on", 10**5000),  # str() cannot write it
         ],
         ids=["opt-past-float-range", "obj-rcm-past-float-range", "wall-time-past-float-range",
-             "numpy-n", "bool-seed", "int-id"],
+             "numpy-n", "bool-seed", "int-id", "nodes-on-past-digit-limit"],
     )
     def test_constructor_rejects(self, column, value):
         with pytest.raises(SchemaError) as err:

@@ -490,12 +490,22 @@ class TestInstance:
             (dict(sites=((0.0, 0.0), (1.0, 0.0, 2.0))), "sites"),
             # float() cannot hold it, so it is not finite
             (dict(sites=((0.0, 0.0), (10**400, 0.0))), "sites"),
+            # str() cannot write them, so neither can the message
+            (dict(seed=10**5000), "seed"),
+            (dict(sites=((0.0, 0.0), (10**5000, 0.0))), "sites"),
+            # what a document reader passes on unchecked, container or entry
+            (dict(sites=None), "sites"),
+            (dict(bonds=None), "bonds"),
+            (dict(sites=(None, (1.0, 0.0))), "sites"),
+            (dict(bonds=frozenset({None})), "bonds"),
         ],
         ids=[
             "nan-site", "no-sites", "one-site", "reversed-bond", "bond-out-of-range",
             "negative-seed", "seed-too-large", "int-id", "float-seed", "bool-seed",
             "numpy-bond", "float-bond-end", "tuple-bonds", "list-sites", "bool-coordinate",
-            "three-coordinates", "int-coordinate-past-float-range",
+            "three-coordinates", "int-coordinate-past-float-range", "seed-past-digit-limit",
+            "coordinate-past-digit-limit", "no-site-tuple", "no-bond-set", "none-site",
+            "none-bond",
         ],
     )
     def test_constructor_rejects(self, fields, field):
@@ -551,7 +561,7 @@ class TestSerialization:
             from_json(json.dumps(doc))
         assert err.value.field_name == "params"
 
-    @pytest.mark.parametrize("key,field", [("L", "L"), ("r_min", "r_min"), ("site", "sites")])
+    @pytest.mark.parametrize("key,field", [("L", "params"), ("r_min", "params"), ("site", "sites")])
     def test_oversized_integer_named(self, key, field):
         # 401 digits parse as a Python int that float() cannot hold
         doc = json.loads(to_json(generate(4, 1)))

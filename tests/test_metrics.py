@@ -98,6 +98,16 @@ class TestOrdering:
         with pytest.raises(ValueError):
             Ordering((True, 2))
 
+    @pytest.mark.parametrize(
+        "perm", [[2, 1], None, "12", (), (1, "2"), (2, 10**5000)],
+        ids=["list", "none", "str", "empty", "str-position", "position-past-digit-limit"],
+    )
+    def test_rejects_through_check(self, perm):
+        # a list would neither hash nor equal the tuple its document reads back as
+        with pytest.raises(SchemaError) as err:
+            Ordering(perm)
+        assert err.value.field_name == "perm"
+
     def test_reversed(self):
         assert Ordering((1, 3, 2)).reversed().perm == (3, 1, 2)
 

@@ -2,10 +2,10 @@
 
 Each property draws a valid value and then replaces a few of its fields with
 values from a domain wider than the type allows: bools, ints of any size up
-to 10**400, NaN and infinities, numpy scalars and strings.  Whatever still
-constructs must read back equal from what its writer wrote; whatever does
-not must be refused with SchemaError (ValueError for ``Ordering``), never
-with another exception.
+to 10**5000, past what str() writes, NaN and infinities, numpy scalars and
+strings.  Whatever still constructs must read back equal from what its writer
+wrote; whatever does not must be refused with SchemaError, never with another
+exception.
 """
 
 import json
@@ -29,7 +29,7 @@ from bandopt.metrics import Ordering, ordering_from_json, ordering_to_json
 _WIDE = st.one_of(
     st.booleans(),
     st.integers(),
-    st.sampled_from([10**400, -(10**400), 2**53 + 1, 2**64, 10**20]),
+    st.sampled_from([10**5000, 10**400, -(10**400), 2**53 + 1, 2**64, 10**20]),
     st.floats(),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
     st.floats(allow_nan=True).map(np.float64),
@@ -66,6 +66,11 @@ def _instance_fields(draw):
         sites[k] = sites[k][:c] + (draw(_WIDE),) + sites[k][c + 1 :]
     if draw(st.booleans()):
         bonds.add((draw(st.one_of(st.integers(0, n - 1), _WIDE)), draw(_WIDE)))
+    if draw(st.booleans()):  # a whole site or a whole bond from the wide domain
+        if draw(st.booleans()):
+            sites[draw(st.integers(0, n - 1))] = draw(_WIDE)
+        else:
+            bonds.add(draw(_WIDE))
     sites = draw(st.sampled_from([tuple(sites), sites]))  # the list is refused
     bonds = draw(st.sampled_from([frozenset(bonds), tuple(bonds)]))  # the tuple is refused
     return fields, sites, bonds
@@ -90,10 +95,12 @@ class TestRoundTrip:
         perm = list(valid)
         for k in data.draw(st.lists(st.integers(0, len(perm) - 1), max_size=2)):
             perm[k] = data.draw(st.one_of(_WIDE, st.sampled_from([np.int64(valid[k]), float(valid[k])])))
+        container = data.draw(st.sampled_from([tuple, list]))  # the list is refused
         try:
-            ordering = Ordering(tuple(perm))
-        except ValueError:
+            ordering = Ordering(container(perm))
+        except SchemaError:
             return
+        hash(ordering)
         assert ordering_from_json(ordering_to_json(ordering)) == ordering
 
     @settings(max_examples=300, deadline=None)
