@@ -59,7 +59,7 @@ from .metrics import (
     save_ordering,
     weighted_bandwidth,
 )
-from .rcm import cuthill_mckee, rcm_on_instance, reverse_cuthill_mckee
+from .rcm import rcm_on_instance
 
 __version__ = "0.1.0"
 
@@ -82,7 +82,6 @@ __all__ = [
     "branch_and_bound",
     "brute_force",
     "classic_bandwidth",
-    "cuthill_mckee",
     "default_anchor",
     "export_lp",
     "from_json",
@@ -101,7 +100,6 @@ __all__ = [
     "report_to_csv",
     "result_from_json",
     "result_to_json",
-    "reverse_cuthill_mckee",
     "run_suite",
     "save",
     "save_ordering",

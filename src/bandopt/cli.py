@@ -63,7 +63,7 @@ def _cmd_rcm(args: argparse.Namespace) -> int:
     ordering = rcm_on_instance(inst)
     save_ordering(ordering, args.out)
     wb = weighted_bandwidth(interaction_matrix(inst), ordering).value
-    cb = classic_bandwidth(inst.bonds, ordering)
+    cb = classic_bandwidth(inst, ordering)
     print(f"{inst.id}: weighted bandwidth {wb:.12g}, bond bandwidth {cb}")
     return 0
 

@@ -32,7 +32,6 @@ _ATTEMPTS_PER_SITE = 1000
 _DISTANCE_ROWS = 128
 _PREFIX_MIN_N = 50  # below this many sites a full row sort beats partitioning
 _FLOAT_MAX = sys.float_info.max
-_INT_BOUND = 10**4300  # str(), so JSON, writes no int of more digits: Python's default limit
 
 
 class GenerationError(RuntimeError):
@@ -68,8 +67,11 @@ def _check(*rules: tuple[str, bool, str, object]) -> None:
 
 
 def _is_int(value: object) -> bool:
-    """An int that str() can write, never a bool or a numpy integer, which JSON cannot write."""
-    return type(value) is int and -_INT_BOUND < value < _INT_BOUND
+    """An int within the float range, never a bool or a numpy integer, which JSON cannot write.
+
+    Such an int has at most 309 digits, so str(), and JSON, writes it under
+    every digit limit Python allows (640 or more, or none)."""
+    return type(value) is int and -_FLOAT_MAX <= value <= _FLOAT_MAX
 
 
 def _is_number(value: object) -> bool:
@@ -78,7 +80,7 @@ def _is_number(value: object) -> bool:
 
 
 def _is_finite(value: object) -> bool:
-    """A number within the float range, so also an int that float() can hold."""
+    """A number within the float range: any int, or a float that is neither inf nor nan."""
     return _is_number(value) and -_FLOAT_MAX <= value <= _FLOAT_MAX
 
 

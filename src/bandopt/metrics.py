@@ -8,12 +8,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 from .instance import (
-    InteractionMatrix, SchemaError, _check, _dump_doc, _is_int, _parse_doc, _read_doc, _require
+    Instance, InteractionMatrix, SchemaError, _check, _dump_doc, _is_int, _parse_doc, _read_doc,
+    _require,
 )
 
 SCHEMA_ORDERING = "bandopt-ordering/1"
@@ -63,9 +63,6 @@ class Bandwidth:
     value: float
     argpair: tuple[int, int]
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def weighted_bandwidth(U: InteractionMatrix, ordering: Ordering) -> Bandwidth:
     """max over all vertex pairs of u[i][j] * |position difference|.
@@ -89,16 +86,12 @@ def weighted_bandwidth(U: InteractionMatrix, ordering: Ordering) -> Bandwidth:
     return Bandwidth(cost.item(k), divmod(k, n))
 
 
-def classic_bandwidth(bonds: Iterable[tuple[int, int]], ordering: Ordering) -> int:
-    """max over bonds of |position difference|; 0 for an empty bond set."""
-    n = ordering.n
+def classic_bandwidth(inst: Instance, ordering: Ordering) -> int:
+    """max over the instance's bonds of |position difference|; 0 for an empty bond set."""
+    if ordering.n != inst.n:
+        raise ValueError(f"ordering covers {ordering.n} vertices, instance has {inst.n}")
     perm = ordering.perm
-    best = 0
-    for i, j in bonds:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"bond ({i}, {j}) references a vertex outside 0..{n - 1}")
-        best = max(best, abs(perm[i] - perm[j]))
-    return best
+    return max((abs(perm[i] - perm[j]) for i, j in inst.bonds), default=0)
 
 
 def permute_matrix(U: InteractionMatrix, ordering: Ordering) -> InteractionMatrix:

@@ -6,7 +6,7 @@ import pytest
 
 from bandopt import cli
 from bandopt.cli import main
-from bandopt.exact import export_lp
+from bandopt.exact import STATUS_OPTIMAL, export_lp, load_result
 from bandopt.harness import load_report, report_to_csv
 from bandopt.instance import (
     GenerationError,
@@ -18,6 +18,8 @@ from bandopt.instance import (
     save,
     to_json,
 )
+from bandopt.metrics import classic_bandwidth, load_ordering, weighted_bandwidth
+from bandopt.rcm import rcm_on_instance
 
 
 @pytest.mark.parametrize("gap", [1e-60, 1e60])
@@ -87,6 +89,34 @@ def test_gen_rejects_nonpositive_count(tmp_path, capsys, count):
     assert main(["gen", "--n", "8", "--seed", "1", "--count", str(count), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("bandopt: ")
     assert not out.exists()
+
+
+def test_gen_rcm_solve_on_one_instance(tmp_path, capsys):
+    inst_path, order_path, result_path = (
+        tmp_path / name for name in ("inst.json", "order.json", "result.json")
+    )
+    assert main(["gen", "--n", "8", "--seed", "1", "--out", str(inst_path)]) == 0
+    inst = load(inst_path)
+    assert inst == generate(8, 1)
+    assert capsys.readouterr().out == f"wrote {inst.id} to {inst_path}\n"
+
+    assert main(["rcm", "--instance", str(inst_path), "--out", str(order_path)]) == 0
+    ordering = load_ordering(order_path)
+    assert ordering == rcm_on_instance(inst)
+    U = interaction_matrix(inst)
+    wb = weighted_bandwidth(U, ordering).value
+    cb = classic_bandwidth(inst, ordering)
+    assert capsys.readouterr().out == (
+        f"{inst.id}: weighted bandwidth {wb:.12g}, bond bandwidth {cb}\n"
+    )
+
+    assert main(["solve", "--instance", str(inst_path), "--out", str(result_path)]) == 0
+    result = load_result(result_path)
+    assert result.status == STATUS_OPTIMAL
+    assert weighted_bandwidth(U, result.ordering).value == result.objective
+    assert capsys.readouterr().out.startswith(
+        f"{inst.id}: objective {result.objective:.12g} (optimal), {result.nodes_explored} nodes in "
+    )
 
 
 def test_lp_writes_export_lp_model(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from bandopt import harness
 from bandopt.exact import STATUS_OPTIMAL, SolveConfig, branch_and_bound
-from bandopt.instance import SchemaError, generate, interaction_matrix
+from bandopt.instance import GenerationError, SchemaError, generate, interaction_matrix
 from bandopt.rcm import rcm_on_instance
 from bandopt.harness import (
     CSV_HEADER,
@@ -138,6 +138,15 @@ class TestRunSuite:
     def test_zero_per_size_rejected(self):
         with pytest.raises(ValueError):
             run_suite([5], per_size=0, seed0=0)
+
+    def test_generation_failure_names_instance(self, monkeypatch):
+        def failing_generate(n, seed):
+            raise GenerationError("no room")
+
+        monkeypatch.setattr(harness, "generate", failing_generate)
+        with pytest.raises(GenerationError, match=r"^instance n=5 seed=5000018: no room$") as err:
+            run_suite([5], per_size=1, seed0=3)
+        assert str(err.value.__cause__) == "no room"
 
     def test_timeout_recorded_not_dropped(self):
         cfg = SolveConfig(node_limit=50, use_lower_bound=False)

@@ -476,6 +476,7 @@ class TestInstance:
             (dict(sites=((0.0, 0.0),), bonds=frozenset()), "sites"),
             (dict(bonds=frozenset({(1, 0)})), "bonds"),
             (dict(bonds=frozenset({(0, 5)})), "bonds"),
+            (dict(bonds=frozenset({(1, 1)})), "bonds"),
             (dict(seed=-5), "seed"),
             (dict(seed=2**64), "seed"),
             # values that to_json cannot write or from_json would not read back
@@ -501,6 +502,7 @@ class TestInstance:
         ],
         ids=[
             "nan-site", "no-sites", "one-site", "reversed-bond", "bond-out-of-range",
+            "self-loop-bond",
             "negative-seed", "seed-too-large", "int-id", "float-seed", "bool-seed",
             "numpy-bond", "float-bond-end", "tuple-bonds", "list-sites", "bool-coordinate",
             "three-coordinates", "int-coordinate-past-float-range", "seed-past-digit-limit",

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandopt.instance import InteractionMatrix, SchemaError, generate, interaction_matrix
+from bandopt.instance import (
+    GenParams,
+    Instance,
+    InteractionMatrix,
+    SchemaError,
+    generate,
+    interaction_matrix,
+)
 from bandopt.metrics import (
     Ordering,
     classic_bandwidth,
@@ -189,19 +196,27 @@ class TestWeightedBandwidth:
         )
 
 
+def _graph(n: int, bonds) -> Instance:
+    """An instance with sites on a line and the given bonds."""
+    sites = tuple((float(v), 0.0) for v in range(n))
+    params = GenParams(L=float(n))
+    return Instance(id="g", seed=0, params=params, sites=sites, bonds=frozenset(bonds))
+
+
 class TestClassicBandwidth:
     def test_path_identity(self):
-        assert classic_bandwidth(frozenset({(0, 1), (1, 2)}), Ordering.identity(3)) == 1
+        assert classic_bandwidth(_graph(3, {(0, 1), (1, 2)}), Ordering.identity(3)) == 1
 
     def test_empty_bonds(self):
-        assert classic_bandwidth(frozenset(), Ordering.identity(3)) == 0
+        assert classic_bandwidth(_graph(3, ()), Ordering.identity(3)) == 0
 
     def test_spread_pair(self):
-        assert classic_bandwidth(frozenset({(0, 2)}), Ordering.identity(3)) == 2
+        assert classic_bandwidth(_graph(3, {(0, 2)}), Ordering.identity(3)) == 2
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            classic_bandwidth(frozenset({(0, 5)}), Ordering.identity(3))
+        # bond (0, 5) reaches past the 3 vertices the ordering places
+        with pytest.raises(ValueError, match="ordering covers 3 vertices, instance has 6"):
+            classic_bandwidth(_graph(6, {(0, 5)}), Ordering.identity(3))
 
 
 class TestPermuteMatrix:
@@ -217,6 +232,11 @@ class TestPermuteMatrix:
     def test_identity_is_noop(self):
         U = interaction_matrix(generate(5, 3))
         assert np.array_equal(permute_matrix(U, Ordering.identity(5)).u, U.u)
+
+    def test_size_mismatch_rejected(self):
+        U = interaction_matrix(generate(5, 3))
+        with pytest.raises(ValueError, match="ordering covers 4 vertices, matrix has 5"):
+            permute_matrix(U, Ordering.identity(4))
 
 
 class TestRcmGap:

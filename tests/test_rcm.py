@@ -1,23 +1,55 @@
-"""Cuthill-McKee and reverse Cuthill-McKee ordering tests."""
+"""Reverse Cuthill-McKee ordering tests."""
 
-import pytest
-
-from bandopt.instance import generate
+from bandopt.instance import GenParams, Instance, generate
 from bandopt.metrics import Ordering, classic_bandwidth
-from bandopt.rcm import cuthill_mckee, rcm_on_instance, reverse_cuthill_mckee
+from bandopt.rcm import rcm_on_instance
 
 PATH = frozenset({(0, 1), (1, 2)})
 STAR = frozenset({(0, 1), (0, 2), (0, 3), (0, 4)})
 
 
+def _graph(n: int, bonds) -> Instance:
+    """An instance with sites on a line and the given bonds."""
+    sites = tuple((float(v), 0.0) for v in range(n))
+    params = GenParams(L=float(n))
+    return Instance(id="g", seed=0, params=params, sites=sites, bonds=frozenset(bonds))
+
+
+def _visits(n: int, bonds) -> tuple[int, ...]:
+    """The Cuthill-McKee visit order: RCM gives the k-th vertex visited position n+1-k."""
+    return rcm_on_instance(_graph(n, bonds)).vertex_at()[::-1]
+
+
+def _cm_by_sort(inst: Instance) -> tuple[int, ...]:
+    """Cuthill-McKee stated as one sort: by component, ranked by its root, the
+    component's vertex of least (degree, index); then by breadth-first distance
+    from that root; then by (degree, index)."""
+    adj = {v: set() for v in range(inst.n)}
+    for i, j in inst.bonds:
+        adj[i].add(j)
+        adj[j].add(i)
+    key = {v: (len(adj[v]), v) for v in adj}
+    rank = {}
+    for root in sorted(adj, key=key.get):
+        if root in rank:
+            continue
+        dist, frontier, depth = {root: 0}, {root}, 0
+        while frontier:
+            depth += 1
+            frontier = {w for v in frontier for w in adj[v] if w not in dist}
+            dist.update((w, depth) for w in frontier)
+        rank.update((v, (key[root], d, key[v])) for v, d in dist.items())
+    return tuple(sorted(adj, key=rank.get))
+
+
 class TestCuthillMckee:
     def test_path_default_root_is_min_degree(self):
         # endpoints have degree 1; vertex 0 wins the index tie
-        assert cuthill_mckee(PATH, 3).perm == (1, 2, 3)
+        assert _visits(3, PATH) == (0, 1, 2)
 
     def test_star_from_leaf(self):
         # the leaves have degree 1, so leaf 1 roots the traversal
-        at = cuthill_mckee(STAR, 5).vertex_at()
+        at = _visits(5, STAR)
         assert at[0] == 1
         assert at[1] == 0
         assert at[2:] == (2, 3, 4)  # remaining leaves by index
@@ -25,45 +57,36 @@ class TestCuthillMckee:
     def test_level_sort_by_degree_then_index(self):
         # 0-1, 1-2, 1-3, 2-4, 2-5: from leaf 0 via 1, the frontier {2, 3}
         # sorts degree-first, so 3 (degree 1) precedes 2 (degree 3)
-        bonds = frozenset({(0, 1), (1, 2), (1, 3), (2, 4), (2, 5)})
-        at = cuthill_mckee(bonds, 6).vertex_at()
-        assert at == (0, 1, 3, 2, 4, 5)
+        bonds = {(0, 1), (1, 2), (1, 3), (2, 4), (2, 5)}
+        assert _visits(6, bonds) == (0, 1, 3, 2, 4, 5)
 
     def test_disconnected_components(self):
-        bonds = frozenset({(0, 1), (2, 3), (3, 4)})
-        assert cuthill_mckee(bonds, 5).perm == (1, 2, 3, 4, 5)
+        assert _visits(5, {(0, 1), (2, 3), (3, 4)}) == (0, 1, 2, 3, 4)
 
     def test_no_bonds(self):
-        assert cuthill_mckee(frozenset(), 3).perm == (1, 2, 3)
-
-    def test_invalid_bond_index(self):
-        with pytest.raises(ValueError):
-            cuthill_mckee(frozenset({(0, 7)}), 3)
-
-    def test_self_loop_rejected(self):
-        with pytest.raises(ValueError):
-            cuthill_mckee(frozenset({(1, 1)}), 3)
+        assert _visits(3, ()) == (0, 1, 2)
 
 
 class TestReverseCuthillMckee:
     def test_path_reversed(self):
-        assert reverse_cuthill_mckee(PATH, 3).perm == (3, 2, 1)
+        assert rcm_on_instance(_graph(3, PATH)).perm == (3, 2, 1)
 
     def test_is_reversal_of_cm(self):
-        bonds = generate(15, 8).bonds
-        cm = cuthill_mckee(bonds, 15)
-        assert reverse_cuthill_mckee(bonds, 15) == cm.reversed()
+        # three generated instances and one of three components, vertex 4 alone
+        split = _graph(7, {(0, 3), (3, 5), (1, 2), (2, 6)})
+        for inst in (generate(15, 8), generate(40, 3), generate(120, 5), split):
+            assert rcm_on_instance(inst).vertex_at()[::-1] == _cm_by_sort(inst)
 
     def test_path_bandwidth_stays_one(self):
-        assert classic_bandwidth(PATH, reverse_cuthill_mckee(PATH, 3)) == 1
+        inst = _graph(3, PATH)
+        assert classic_bandwidth(inst, rcm_on_instance(inst)) == 1
 
     def test_reduces_bandwidth_on_structured_graph(self):
         # path with a scrambled labeling: RCM should beat the identity
         chain = {(0, 7), (7, 3), (3, 5), (5, 1), (1, 6), (6, 4), (4, 2)}
-        bonds = frozenset((min(a, b), max(a, b)) for a, b in chain)
-        rcm = reverse_cuthill_mckee(bonds, 8)
-        assert classic_bandwidth(bonds, rcm) < classic_bandwidth(
-            bonds, Ordering.identity(8)
+        inst = _graph(8, ((min(a, b), max(a, b)) for a, b in chain))
+        assert classic_bandwidth(inst, rcm_on_instance(inst)) < classic_bandwidth(
+            inst, Ordering.identity(8)
         )
 
 

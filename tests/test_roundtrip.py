@@ -9,11 +9,20 @@ exception.
 """
 
 import json
+import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandopt.exact import STATUS_OPTIMAL, STATUSES, SolveResult, result_from_json, result_to_json
+from bandopt.exact import (
+    STATUS_OPTIMAL,
+    STATUSES,
+    SolveConfig,
+    SolveResult,
+    result_from_json,
+    result_to_json,
+)
 from bandopt.harness import GapReport, GapRow, report_from_csv, report_to_csv
 from bandopt.instance import (
     CoincidentSitesError,
@@ -202,3 +211,41 @@ class TestArbitraryField:
         except SchemaError:
             return
         assert ordering_from_json(ordering_to_json(back)) == back
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+def test_lowered_digit_limit_refused_at_construction():
+    """Under str()'s lowest digit limit, what constructs still writes: a
+    too-long int is refused by the constructor, never later by a writer."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        result = dict(
+            ordering=Ordering((2, 1, 3)),
+            objective=1.5,
+            lower_bound=1.5,
+            status=STATUS_OPTIMAL,
+            nodes_explored=10**300,
+            wall_time=0.25,
+        )
+        row = dict(
+            id="a", n=3, seed=0, obj_rcm=2.0, opt=1.5, gap_percent=1.0,
+            status=STATUS_OPTIMAL, nodes_on=10**300, nodes_off=None, wall_time_s=0.25,
+        )
+        # 300 digits construct, write and read back
+        built = SolveResult(**result)
+        assert result_from_json(result_to_json(built)) == built
+        text = report_to_csv(GapReport(rows=(GapRow(**row),)))
+        assert report_to_csv(report_from_csv(text)) == text
+        assert SolveConfig(node_limit=10**300).node_limit == 10**300
+        # 700 digits: str() cannot write them
+        for build, field in (
+            (lambda: SolveResult(**{**result, "nodes_explored": 10**700}), "nodes"),
+            (lambda: GapRow(**{**row, "nodes_on": 10**700}), "nodes_on"),
+            (lambda: SolveConfig(node_limit=10**700), "node_limit"),
+        ):
+            with pytest.raises(SchemaError) as err:
+                build()
+            assert err.value.field_name == field
+    finally:
+        sys.set_int_max_str_digits(limit)
