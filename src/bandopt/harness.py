@@ -9,8 +9,10 @@ through CSV byte-identically.
 from __future__ import annotations
 
 import json
+import os
 import statistics
 from dataclasses import astuple, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 from .exact import STATUS_OPTIMAL, STATUSES, SolveConfig, branch_and_bound
@@ -134,9 +136,8 @@ def run_suite(
     are recorded in the row's status, never dropped; generation failures
     abort the suite with the failing instance identified.  With
     ``ab_compare`` every instance is solved twice to fill ``nodes_off``.
-    Solves always run one after another on the calling thread, by
-    (n, replicate) with the sizes ascending, so the rows come back in that
-    order.
+    The tasks are ordered by (n, replicate) with the sizes ascending, and
+    the rows come back in that order however many workers solve them.
 
     Args:
         sizes: instance sizes to cover, at least one, none repeated (a
@@ -145,8 +146,15 @@ def run_suite(
         seed0: base seed for the whole suite.
         cfg: solver configuration (default: SolveConfig()).
         ab_compare: also solve with the anchor restriction off.
-        jobs: must be at least 1 and has no other effect; kept because
-            ``benchmarks/workloads.py`` calls ``run_suite(..., jobs=2)``.
+        jobs: an int >= 1.  The suite's solves are independent, so
+            ``jobs = k`` maps them over a pool of worker processes, one
+            per task or per CPU this process may use if either is fewer
+            than k, started by the platform's default method (fork on
+            Linux before Python 3.14).  Every row but its ``wall_time_s`` is the one a
+            serial run gives.  The pool is shut down, its pending tasks
+            cancelled and its running ones awaited, before run_suite
+            returns or raises.  With one worker the solves run one after
+            another on the calling thread.
     """
     if not sizes:
         raise ValueError("sizes must be non-empty")
@@ -154,12 +162,33 @@ def run_suite(
         raise ValueError(f"sizes must not repeat, got {sizes}")
     if per_size < 1:
         raise ValueError(f"per_size must be at least 1, got {per_size}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if not (_is_int(jobs) and jobs >= 1):
+        raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
     if cfg is None:
         cfg = SolveConfig()
     tasks = [(n, r) for n in sorted(sizes) for r in range(per_size)]
-    return GapReport(rows=tuple(_solve_one(n, r, seed0, cfg, ab_compare) for n, r in tasks))
+    workers = min(jobs, len(tasks), _usable_cpus())
+    if workers == 1:
+        return GapReport(rows=tuple(_solve_one(n, r, seed0, cfg, ab_compare) for n, r in tasks))
+    # imported here: at module level they would slow every `import bandopt`
+    from concurrent.futures import ProcessPoolExecutor
+
+    solve = partial(_solve_one, seed0=seed0, cfg=cfg, ab_compare=ab_compare)
+    pool = ProcessPoolExecutor(workers)
+    try:
+        # one task at a time: chunks of 4, 10 or 25 timed alike on n = 15/20 suites
+        rows = tuple(pool.map(solve, *zip(*tasks)))
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return GapReport(rows=rows)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform says; else all of them."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on macOS or Windows
+        return os.cpu_count() or 1
 
 
 def _aggregate(rows: list[GapRow]) -> dict:

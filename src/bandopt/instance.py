@@ -51,6 +51,11 @@ class SchemaError(ValueError):
         super().__init__(message)
         self.field_name = field_name
 
+    def __reduce__(self):
+        # pickle rebuilds an exception from self.args, which hold only the
+        # message; a worker process's error reaches its caller this way
+        return type(self), (self.field_name, *self.args)
+
 
 def _check(*rules: tuple[str, bool, str, object]) -> None:
     """The one constructor check: the first rule ``(field, holds, requirement, value)``
@@ -100,6 +105,9 @@ class CoincidentSitesError(ValueError):
     def __init__(self, i: int, j: int):
         super().__init__(f"sites {i} and {j} coincide; pairwise distances must be > 0")
         self.pair = (i, j)
+
+    def __reduce__(self):
+        return type(self), self.pair
 
 
 @dataclass(frozen=True)

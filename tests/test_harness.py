@@ -1,6 +1,11 @@
 """Benchmark harness tests: suite runs, summaries, CSV stability."""
 
-import threading
+import multiprocessing
+import os
+import subprocess
+import sys
+from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +27,10 @@ from bandopt.harness import (
 )
 
 
+# the worker tests need a pool, which run_suite starts only with two or more CPUs
+_POOL = pytest.mark.skipif(harness._usable_cpus() < 2, reason="one usable CPU: run_suite starts no worker")
+
+
 def _row(**overrides):
     base = dict(
         id="inst-n5-s1",
@@ -37,6 +46,11 @@ def _row(**overrides):
     )
     base.update(overrides)
     return GapRow(**base)
+
+
+def _cells(report):
+    """Every field but the wall time, row by row in (n, replicate) order."""
+    return [astuple(replace(r, wall_time_s=0.0)) for r in report.rows]
 
 
 class TestRunSuite:
@@ -87,24 +101,35 @@ class TestRunSuite:
                 rb.id, rb.n, rb.seed, rb.obj_rcm, rb.opt, rb.gap_percent,
                 rb.status, rb.nodes_on, rb.nodes_off)
 
-    def test_jobs_match_serial(self, monkeypatch):
-        serial = run_suite([5, 6], per_size=2, seed0=4)
-        threads = []
-        solve_one = harness._solve_one
+    def test_jobs_match_serial(self):
+        serial = run_suite([5, 6], per_size=2, seed0=4, ab_compare=True)
+        for jobs in (2, 3):
+            with_jobs = run_suite([5, 6], per_size=2, seed0=4, ab_compare=True, jobs=jobs)
+            assert _cells(with_jobs) == _cells(serial)
 
-        def recording_solve_one(*args):
-            threads.append(threading.get_ident())
-            return solve_one(*args)
+    def test_more_jobs_than_tasks(self):
+        serial = run_suite([5], per_size=2, seed0=6)
+        assert _cells(run_suite([5], per_size=2, seed0=6, jobs=8)) == _cells(serial)
 
-        monkeypatch.setattr(harness, "_solve_one", recording_solve_one)
-        with_jobs = run_suite([5, 6], per_size=2, seed0=4, jobs=3)
-        # jobs has no effect: every solve runs on the caller's thread
-        assert threads == [threading.get_ident()] * 4
-        assert len(with_jobs.rows) == len(serial.rows)
-        for rs, rj in zip(serial.rows, with_jobs.rows):
-            assert (rs.id, rs.opt, rs.gap_percent, rs.nodes_on) == (
-                rj.id, rj.opt, rj.gap_percent, rj.nodes_on
-            )
+    @_POOL
+    def test_no_worker_outlives_suite(self):
+        run_suite([5, 6], per_size=2, seed0=4, jobs=2)
+        assert multiprocessing.active_children() == []
+
+    @_POOL
+    def test_worker_error_reaches_caller_and_no_worker_outlives_it(self):
+        # replicate 0 gets seed -1, so generate fails inside a worker
+        with pytest.raises(SchemaError) as err:
+            run_suite([5], per_size=4, seed0=-5_000_016, jobs=2)
+        assert err.value.field_name == "seed"
+        assert multiprocessing.active_children() == []
+
+    def test_import_starts_no_pool_machinery(self):
+        # the pool's modules load only when run_suite needs workers
+        code = "import sys, bandopt; print(sorted({'concurrent', 'multiprocessing'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+        assert out.stdout.strip() == "[]"
 
     def test_sizes_solved_in_ascending_order(self, monkeypatch):
         calls = []
@@ -125,6 +150,11 @@ class TestRunSuite:
     def test_zero_jobs_rejected(self):
         with pytest.raises(ValueError):
             run_suite([5], per_size=1, seed0=0, jobs=0)
+
+    @pytest.mark.parametrize("jobs", [True, 2.5, 2.0])
+    def test_non_int_jobs_rejected(self, jobs):
+        with pytest.raises(ValueError):
+            run_suite([5], per_size=1, seed0=0, jobs=jobs)
 
     def test_empty_sizes_rejected(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -609,6 +610,16 @@ class TestSerialization:
         with pytest.raises(CoincidentSitesError) as built:
             _toy(sites)
         assert parsed.value.pair == built.value.pair == (0, 3)
+
+    def test_typed_errors_survive_pickle(self):
+        # a worker process's error reaches run_suite's caller through pickle
+        schema = pickle.loads(pickle.dumps(SchemaError("seed", "seed -1 is bad")))
+        assert type(schema) is SchemaError
+        assert (str(schema), schema.field_name) == ("seed -1 is bad", "seed")
+        coincident = pickle.loads(pickle.dumps(CoincidentSitesError(0, 1)))
+        assert type(coincident) is CoincidentSitesError
+        assert str(coincident) == str(CoincidentSitesError(0, 1))
+        assert coincident.pair == (0, 1)
 
     def test_bond_order_enforced(self):
         doc = json.loads(to_json(generate(4, 1)))
