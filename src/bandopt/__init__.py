@@ -34,7 +34,6 @@ from .harness import (
     summarize,
 )
 from .instance import (
-    CoincidentSitesError,
     GenerationError,
     GenParams,
     Instance,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bandwidth",
-    "CoincidentSitesError",
     "CSV_HEADER",
     "GapReport",
     "GapRow",

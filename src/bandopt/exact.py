@@ -56,8 +56,8 @@ class SolveConfig:
     and adds ``export_lp``'s ``lb`` row; ``use_symmetry_breaking`` confines
     the anchor vertex, always ``default_anchor``, to the first half of the positions.
     Node counts are reproducible for every configuration.  Construction
-    checks that ``time_limit`` is a number above 0 and that ``node_limit``
-    is None or an int of at least 1, else SchemaError naming the field.
+    checks that both switches are bools, ``time_limit`` a number above 0
+    and ``node_limit`` None or an int >= 1, else SchemaError naming the field.
     """
 
     use_lower_bound: bool = True
@@ -67,7 +67,10 @@ class SolveConfig:
 
     def __post_init__(self):
         seconds, nodes = self.time_limit, self.node_limit
+        lb, sym = self.use_lower_bound, self.use_symmetry_breaking
         _check(
+            ("use_lower_bound", type(lb) is bool, "a bool", lb),  # "no" would switch it on
+            ("use_symmetry_breaking", type(sym) is bool, "a bool", sym),
             # NaN fails too: no deadline would pass
             ("time_limit", _is_number(seconds) and seconds > 0, "a number > 0", seconds),
             ("node_limit", nodes is None or _is_int(nodes) and nodes >= 1, "None or an int >= 1", nodes),

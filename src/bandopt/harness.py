@@ -140,9 +140,9 @@ def run_suite(
     the rows come back in that order however many workers solve them.
 
     Args:
-        sizes: instance sizes to cover, at least one, none repeated (a
-            repeated size would solve and count its instances twice).
-        per_size: replicates per size, at least 1.
+        sizes: instance sizes to cover, ints, at least one, none repeated
+            (a repeated size would solve and count its instances twice).
+        per_size: replicates per size, an int >= 1.
         seed0: base seed for the whole suite.
         cfg: solver configuration (default: SolveConfig()).
         ab_compare: also solve with the anchor restriction off.
@@ -150,18 +150,17 @@ def run_suite(
             ``jobs = k`` maps them over a pool of worker processes, one
             per task or per CPU this process may use if either is fewer
             than k, started by the platform's default method (fork on
-            Linux before Python 3.14).  Every row but its ``wall_time_s`` is the one a
+            Linux before Python 3.14; spawn and forkserver give the same
+            rows and errors).  Every row but its ``wall_time_s`` is the one a
             serial run gives.  The pool is shut down, its pending tasks
             cancelled and its running ones awaited, before run_suite
             returns or raises.  With one worker the solves run one after
             another on the calling thread.
     """
-    if not sizes:
-        raise ValueError("sizes must be non-empty")
-    if len(set(sizes)) != len(sizes):
-        raise ValueError(f"sizes must not repeat, got {sizes}")
-    if per_size < 1:
-        raise ValueError(f"per_size must be at least 1, got {per_size}")
+    if not (sizes and all(map(_is_int, sizes)) and len(set(sizes)) == len(sizes)):
+        raise ValueError(f"sizes must be one or more distinct ints, got {sizes!r}")
+    if not (_is_int(per_size) and per_size >= 1):
+        raise ValueError(f"per_size must be an int >= 1, got {per_size!r}")
     if not (_is_int(jobs) and jobs >= 1):
         raise ValueError(f"jobs must be an int >= 1, got {jobs!r}")
     if cfg is None:

@@ -41,8 +41,9 @@ class GenerationError(RuntimeError):
 class SchemaError(ValueError):
     """A document, or a value built in code, violates its type's invariants.
 
-    Raised by the document readers and, through ``_check``, by the
-    constructors of ``GenParams``, ``Instance``, ``Ordering``, ``SolveConfig``,
+    Raised by the document readers and, through ``_check``, by ``generate``
+    for its ``n`` and ``seed`` and by the constructors of ``GenParams``,
+    ``Instance`` (distinct sites included), ``Ordering``, ``SolveConfig``,
     ``SolveResult`` and ``GapRow``.  The offending field is available as
     ``field_name``, spelled as the document spells it.
     """
@@ -99,17 +100,6 @@ def _seed_rule(seed: object) -> tuple[str, bool, str, object]:
     return ("seed", _is_int(seed) and 0 <= seed < 2**64, "a 64-bit unsigned integer", seed)
 
 
-class CoincidentSitesError(ValueError):
-    """Two sites coincide, so a pairwise distance is zero."""
-
-    def __init__(self, i: int, j: int):
-        super().__init__(f"sites {i} and {j} coincide; pairwise distances must be > 0")
-        self.pair = (i, j)
-
-    def __reduce__(self):
-        return type(self), self.pair
-
-
 @dataclass(frozen=True)
 class GenParams:
     """Generation parameters: square box side and minimum site separation."""
@@ -133,10 +123,11 @@ class Instance:
 
     ``sites`` are dimensionless coordinates, ``bonds`` are unordered vertex
     pairs stored as (i, j) with i < j.  Construction checks a str id, an int
-    seed in [0, 2**64), a tuple of two or more distinct sites (else
-    CoincidentSitesError with the lexicographically first pair), each a pair
-    of finite ints or floats, and a frozenset of int pairs ``0 <= i < j < n``.
-    So every instance that constructs round-trips through its JSON document.
+    seed in [0, 2**64), a ``GenParams``, a tuple of two or more sites, each a
+    pair of finite ints or floats, a frozenset of int pairs ``0 <= i < j < n``,
+    and distinct sites (the error shows the lexicographically first repeated
+    pair), else SchemaError naming the field.  So every instance that
+    constructs round-trips through its JSON document.
     """
 
     id: str
@@ -152,18 +143,21 @@ class Instance:
         n = len(sites)
         bad_sites = [s for s in sites if not _is_pair(s, _is_finite)]
         bad_bonds = [b for b in bonds if not (_is_pair(b, _is_int) and 0 <= b[0] < b[1] < n)]
+        # _check computes every rule before it raises, and a malformed site may not hash
+        repeats: list[tuple[int, int]] = []
+        if not bad_sites and len(set(sites)) < n:
+            first: dict[tuple[float, float], int] = {}
+            repeats = [(first[s], j) for j, s in enumerate(sites) if first.setdefault(s, j) < j]
         _check(
             ("id", isinstance(self.id, str), "a str", self.id),
             _seed_rule(self.seed),
+            ("params", type(self.params) is GenParams, "a GenParams", self.params),
             ("sites", n >= 2, "a tuple of at least two sites", self.sites),
             ("sites", not bad_sites, "a pair of finite numbers", bad_sites and bad_sites[0]),
             ("bonds", isinstance(self.bonds, frozenset), "a frozenset", type(self.bonds)),
             ("bonds", not bad_bonds, f"a pair of ints 0 <= i < j < {n}", bad_bonds and bad_bonds[0]),
+            ("sites", not repeats, "a pair of distinct sites", repeats and min(repeats)),
         )
-        if len(set(sites)) < n:
-            first: dict[tuple[float, float], int] = {}
-            repeats = [(first[s], j) for j, s in enumerate(sites) if first.setdefault(s, j) < j]
-            raise CoincidentSitesError(*min(repeats))  # lexicographically first (i, j)
 
     @property
     def n(self) -> int:
@@ -367,14 +361,14 @@ def generate(n: int, seed: int, params: GenParams | None = None) -> Instance:
     """Generate a deterministic amorphous point set with ~4-coordinated bonds.
 
     The same (n, seed, params) always reproduces the identical instance,
-    byte-for-byte under ``save``.  Raises GenerationError when the square of
-    the box side or of the separation overflows, when the separation's
-    underflows to 0, when the points cannot be packed or when the bond
-    structure misses the coordination target.
+    byte-for-byte under ``save``.  Raises SchemaError unless ``n`` is an
+    int >= 2 and ``seed`` one in [0, 2**64), and GenerationError when the
+    square of the box side or of the separation overflows, when the
+    separation's underflows to 0, when the points cannot be packed or when
+    the bond structure misses the coordination target.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 sites, got n={n}")
-    _check(_seed_rule(seed))  # before default_rng, which has its own message for a negative seed
+    # before numpy, which words a bad n or seed its own way
+    _check(("n", _is_int(n) and n >= 2, "an int >= 2", n), _seed_rule(seed))
     if params is None:
         params = GenParams.defaults(n)
     try:
@@ -488,10 +482,10 @@ def _tuples(value: object) -> object:
 def from_json(text: str) -> Instance:
     """Parse an instance document.
 
-    Raises SchemaError naming the violated field, or CoincidentSitesError
-    when two parsed coordinates coincide.  Here only presence is checked, and
-    that ``params`` is an object and ``bonds`` an array of distinct entries;
-    arrays become tuples, and ``GenParams`` and ``Instance`` check the values.
+    Every document or value it refuses raises SchemaError naming the field.
+    Here only presence is checked, and that ``params`` is an object and
+    ``bonds`` an array of distinct entries; arrays become tuples, and
+    ``GenParams`` and ``Instance`` check the values, coincident sites included.
     """
     doc = _parse_doc(text, SCHEMA_INSTANCE)
     inst_id, seed = _require(doc, "id", SCHEMA_INSTANCE), _require(doc, "seed", SCHEMA_INSTANCE)

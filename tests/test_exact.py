@@ -313,10 +313,15 @@ class TestBranchAndBound:
             dict(time_limit=0.0), dict(time_limit=-1.0), dict(time_limit=math.nan),
             dict(time_limit=True), dict(time_limit="5"), dict(time_limit=None),
             dict(node_limit=0), dict(node_limit=2.5), dict(node_limit=True),
+            # a truthy str would switch the rule on, None would switch it off
+            dict(use_lower_bound="no"), dict(use_lower_bound=None), dict(use_lower_bound=1),
+            dict(use_symmetry_breaking="no"), dict(use_symmetry_breaking=None),
+            dict(use_symmetry_breaking=1),
         ],
         ids=[
             "zero-time", "negative-time", "nan-time", "bool-time", "str-time", "none-time",
             "zero-nodes", "fractional-nodes", "bool-nodes",
+            "str-lb", "none-lb", "int-lb", "str-sym", "none-sym", "int-sym",
         ],
     )
     def test_config_rejected_at_construction(self, kwargs):

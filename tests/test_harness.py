@@ -124,6 +124,33 @@ class TestRunSuite:
         assert err.value.field_name == "seed"
         assert multiprocessing.active_children() == []
 
+    @_POOL
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_under_start_method(self, method):
+        # a fresh interpreter, since the start method is set once per process
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        code = f"""
+import multiprocessing
+from dataclasses import astuple, replace
+from bandopt.harness import run_suite
+from bandopt.instance import SchemaError
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method({method!r})
+    cells = lambda report: [astuple(replace(r, wall_time_s=0.0)) for r in report.rows]
+    assert cells(run_suite([6, 8], 3, 1, jobs=2)) == cells(run_suite([6, 8], 3, 1))
+    try:
+        run_suite([5], 4, seed0=-5_000_016, jobs=2)
+    except SchemaError as err:
+        assert err.field_name == "seed", err.field_name
+    else:
+        raise AssertionError("no SchemaError")
+    assert multiprocessing.active_children() == []
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
     def test_import_starts_no_pool_machinery(self):
         # the pool's modules load only when run_suite needs workers
         code = "import sys, bandopt; print(sorted({'concurrent', 'multiprocessing'} & set(sys.modules)))"
@@ -168,6 +195,18 @@ class TestRunSuite:
     def test_zero_per_size_rejected(self):
         with pytest.raises(ValueError):
             run_suite([5], per_size=0, seed0=0)
+
+    @pytest.mark.parametrize("per_size", [True, 1.5, 2.0])
+    def test_non_int_per_size_rejected(self, per_size):
+        # True ran one replicate, 1.5 raised a bare TypeError
+        with pytest.raises(ValueError, match="^per_size "):
+            run_suite([5], per_size=per_size, seed0=0)
+
+    @pytest.mark.parametrize("size", [5.0, True, np.int64(5)])
+    def test_non_int_size_rejected(self, size):
+        # 5.0 was blamed on its seed, 5000015.0
+        with pytest.raises(ValueError, match="^sizes "):
+            run_suite([size], per_size=1, seed0=0)
 
     def test_generation_failure_names_instance(self, monkeypatch):
         def failing_generate(n, seed):

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 import bandopt.instance
 from bandopt.exact import load_result
 from bandopt.instance import (
-    CoincidentSitesError,
     GenerationError,
     GenParams,
     Instance,
@@ -110,6 +109,12 @@ class TestGenerate:
     def test_too_few_sites(self):
         with pytest.raises(ValueError):
             generate(1, 0)
+
+    @pytest.mark.parametrize("n", [8.0, True], ids=["float", "bool"])
+    def test_non_int_n_rejected(self, n):
+        with pytest.raises(SchemaError) as err:
+            generate(n, 1)
+        assert err.value.field_name == "n"
 
     def test_seed_range(self):
         with pytest.raises(ValueError):
@@ -390,9 +395,9 @@ class TestInteractionMatrix:
         assert np.allclose(ratio, 3.0 ** -6, rtol=1e-12)
 
     def test_coincident_sites_raise(self):
-        with pytest.raises(CoincidentSitesError) as err:
+        with pytest.raises(SchemaError, match=r"^sites \(0, 1\) ") as err:
             _toy([(1.0, 1.0), (1.0, 1.0)])
-        assert err.value.pair == (0, 1)
+        assert err.value.field_name == "sites"
 
     def test_matrix_is_read_only(self):
         U = interaction_matrix(generate(5, 2))
@@ -500,6 +505,13 @@ class TestInstance:
             (dict(bonds=None), "bonds"),
             (dict(sites=(None, (1.0, 0.0))), "sites"),
             (dict(bonds=frozenset({None})), "bonds"),
+            # a params that to_json cannot write
+            (dict(params=None), "params"),
+            (dict(params=(10.0, 0.7)), "params"),
+            # equal tuples, so the sites coincide
+            (dict(sites=((0.0, 0.0), (-0.0, 0.0))), "sites"),
+            # refused as malformed, not hashed by the coincidence scan
+            (dict(sites=([0.0, 0.0], (1.0, 0.0))), "sites"),
         ],
         ids=[
             "nan-site", "no-sites", "one-site", "reversed-bond", "bond-out-of-range",
@@ -508,7 +520,7 @@ class TestInstance:
             "numpy-bond", "float-bond-end", "tuple-bonds", "list-sites", "bool-coordinate",
             "three-coordinates", "int-coordinate-past-float-range", "seed-past-digit-limit",
             "coordinate-past-digit-limit", "no-site-tuple", "no-bond-set", "none-site",
-            "none-bond",
+            "none-bond", "none-params", "tuple-params", "signed-zero-sites", "unhashable-site",
         ],
     )
     def test_constructor_rejects(self, fields, field):
@@ -597,29 +609,28 @@ class TestSerialization:
     def test_duplicate_coordinates_rejected(self):
         doc = json.loads(to_json(generate(4, 1)))
         doc["sites"][1] = doc["sites"][0]
-        with pytest.raises(CoincidentSitesError):
+        with pytest.raises(SchemaError, match=r"^sites \(0, 1\) ") as err:
             from_json(json.dumps(doc))
+        assert err.value.field_name == "sites"
 
     def test_coincident_pair_is_lexicographically_first(self):
         # B repeats first (1, 2), but (0, 3) is the smaller pair
         sites = [(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 0.0)]
         doc = json.loads(to_json(generate(4, 1)))
         doc["sites"] = [list(s) for s in sites]
-        with pytest.raises(CoincidentSitesError) as parsed:
+        with pytest.raises(SchemaError) as parsed:
             from_json(json.dumps(doc))
-        with pytest.raises(CoincidentSitesError) as built:
+        with pytest.raises(SchemaError) as built:
             _toy(sites)
-        assert parsed.value.pair == built.value.pair == (0, 3)
+        for err in (parsed, built):
+            assert err.value.field_name == "sites"
+            assert str(err.value) == "sites (0, 3) is not a pair of distinct sites"
 
     def test_typed_errors_survive_pickle(self):
         # a worker process's error reaches run_suite's caller through pickle
         schema = pickle.loads(pickle.dumps(SchemaError("seed", "seed -1 is bad")))
         assert type(schema) is SchemaError
         assert (str(schema), schema.field_name) == ("seed -1 is bad", "seed")
-        coincident = pickle.loads(pickle.dumps(CoincidentSitesError(0, 1)))
-        assert type(coincident) is CoincidentSitesError
-        assert str(coincident) == str(CoincidentSitesError(0, 1))
-        assert coincident.pair == (0, 1)
 
     def test_bond_order_enforced(self):
         doc = json.loads(to_json(generate(4, 1)))
